@@ -7,13 +7,19 @@ sets of frequent words, each table searched in its own space).
 
 k-NN here is exact brute force. Similarities are computed in double
 precision over fixed-size vocabulary chunks, so results are identical for
-any thread count; ties are broken token-ascending.
+any thread count; ties are broken token-ascending. `pair_report` and
+`pairwise_similarity` (behind `recommend`) search each table once, over
+the union of the query rows that resolve in it, and score every pair and
+split as Jaccard over those cached neighbor sets; only `shared_vocab_only`,
+whose candidate rows depend on the pair, searches per pair.
 """
 
 from __future__ import annotations
 
+import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,16 +151,17 @@ def _chunk_candidates(table, norms, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
     for qi, row in enumerate(q_rows):
         if lo <= row < hi:
             sims[row - lo, qi] = -np.inf
+    # select along contiguous rows: one (queries, rows) copy, rather than a
+    # strided per-column selection over the (rows, queries) product
+    sims = np.ascontiguousarray(sims.T)
     m = hi - lo
-    out = []
     if m > k:
-        part = np.argpartition(sims, m - k, axis=0)[m - k]
-        kth = sims[part, np.arange(sims.shape[1])]
+        kth = np.partition(sims, m - k, axis=1)[:, m - k]
     else:
-        kth = np.full(sims.shape[1], -np.inf)
-    for qi in range(sims.shape[1]):
-        col = sims[:, qi]
-        idx = np.nonzero(col >= kth[qi])[0]
+        kth = np.full(sims.shape[0], -np.inf)
+    out = []
+    for qi, q_sims in enumerate(sims):
+        idx = np.nonzero(q_sims >= kth[qi])[0]
         # sims of excluded rows are -inf for ranking, but when everything
         # ties at -inf they would survive the >= test: drop them outright
         if row_mask is not None:
@@ -162,7 +169,7 @@ def _chunk_candidates(table, norms, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
         row = q_rows[qi]
         if lo <= row < hi:
             idx = idx[idx != row - lo]
-        out.append((idx + lo, col[idx]))
+        out.append((idx + lo, q_sims[idx]))
     return out
 
 
@@ -201,11 +208,12 @@ def _batch_topk(
     for qi in range(len(q_rows)):
         cand_idx = np.concatenate([c[qi][0] for c in per_chunk])
         cand_sim = np.concatenate([c[qi][1] for c in per_chunk])
-        ranked = sorted(
+        ranked = heapq.nsmallest(
+            k,
             zip(cand_idx.tolist(), cand_sim.tolist()),
             key=lambda pair: (-pair[1], words[pair[0]]),
         )
-        results.append([(words[i], s) for i, s in ranked[:k]])
+        results.append([(words[i], s) for i, s in ranked])
     return results
 
 
@@ -228,25 +236,26 @@ def _shared_mask(table: EmbeddingTable, other: EmbeddingTable, policy: LookupPol
     return mask
 
 
-def embedding_similarity(
+class _PairQueries(NamedTuple):
+    """Queries of one table pair, resolved to a row in each table."""
+
+    requested: int
+    used: list[str]
+    rows_a: list[int]
+    rows_b: list[int]
+    skipped: list[tuple[str, str]]
+
+
+def _resolve_pair(
     table_a: EmbeddingTable,
     table_b: EmbeddingTable,
     queries: list[str],
-    k: int = 10,
-    policy: LookupPolicy = LookupPolicy(),
-    *,
-    shared_vocab_only: bool = False,
-    threads: int = 1,
-) -> SimilarityReport:
-    """Mean Jaccard overlap (as a percentage) of the two tables' k-nearest-
-    neighbor sets over the given query tokens.
-
-    Each query must resolve in both tables; unresolvable or duplicate
-    queries are skipped with a reason, never scored as zero. Each table is
-    searched over its own full vocabulary unless shared_vocab_only
-    restricts candidates to tokens resolvable in the other table. Neighbor
-    tokens are normalized by the policy before the sets are compared.
-    """
+    k: int,
+    policy: LookupPolicy,
+) -> _PairQueries:
+    """Check k against both tables and resolve each query in both; a query
+    that is a duplicate or missing from either table is skipped with a
+    reason. Raises when no query is left."""
     for t in (table_a, table_b):
         if not 1 <= k <= len(t) - 1:
             raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
@@ -275,27 +284,92 @@ def embedding_similarity(
             rows_b.append(hb[0])
     if not used:
         raise DataError("no shared queries")
+    return _PairQueries(len(queries), used, rows_a, rows_b, skipped)
 
-    mask_a = _shared_mask(table_a, table_b, policy) if shared_vocab_only else None
-    mask_b = _shared_mask(table_b, table_a, policy) if shared_vocab_only else None
-    top_a = _batch_topk(table_a, rows_a, k, row_mask=mask_a, threads=threads)
-    top_b = _batch_topk(table_b, rows_b, k, row_mask=mask_b, threads=threads)
 
+def _neighbor_sets(
+    table: EmbeddingTable,
+    rows: list[int],
+    k: int,
+    policy: LookupPolicy,
+    *,
+    row_mask: np.ndarray | None = None,
+    threads: int = 1,
+) -> dict[int, set[str]]:
+    """Policy-normalized k-NN token set of each distinct query row, from
+    one search over all of them (first-appearance order)."""
+    distinct = list(dict.fromkeys(rows))
+    tops = _batch_topk(table, distinct, k, row_mask=row_mask, threads=threads)
+    return {r: {policy.normalize(t) for t, _ in top} for r, top in zip(distinct, tops)}
+
+
+def _similarity_report(
+    pq: _PairQueries, sets_a: dict[int, set[str]], sets_b: dict[int, set[str]], k: int
+) -> SimilarityReport:
     per_query: dict[str, float] = {}
-    for q, na, nb in zip(used, top_a, top_b):
-        sa = {policy.normalize(t) for t, _ in na}
-        sb = {policy.normalize(t) for t, _ in nb}
-        per_query[q] = jaccard(sa, sb)
+    for q, ra, rb in zip(pq.used, pq.rows_a, pq.rows_b):
+        per_query[q] = jaccard(sets_a[ra], sets_b[rb])
     mean_pct = 100.0 * sum(per_query.values()) / len(per_query)
     return SimilarityReport(
         mean_jaccard_pct=mean_pct,
         per_query=per_query,
         k=k,
-        n_requested=len(queries),
-        n_used=len(used),
-        n_skipped=len(skipped),
-        skipped=tuple(skipped),
+        n_requested=pq.requested,
+        n_used=len(pq.used),
+        n_skipped=len(pq.skipped),
+        skipped=tuple(pq.skipped),
     )
+
+
+def embedding_similarity(
+    table_a: EmbeddingTable,
+    table_b: EmbeddingTable,
+    queries: list[str],
+    k: int = 10,
+    policy: LookupPolicy = LookupPolicy(),
+    *,
+    shared_vocab_only: bool = False,
+    threads: int = 1,
+) -> SimilarityReport:
+    """Mean Jaccard overlap (as a percentage) of the two tables' k-nearest-
+    neighbor sets over the given query tokens.
+
+    Each query must resolve in both tables; unresolvable or duplicate
+    queries are skipped with a reason, never scored as zero. Each table is
+    searched over its own full vocabulary unless shared_vocab_only
+    restricts candidates to tokens resolvable in the other table. Neighbor
+    tokens are normalized by the policy before the sets are compared.
+    """
+    pq = _resolve_pair(table_a, table_b, queries, k, policy)
+    mask_a = _shared_mask(table_a, table_b, policy) if shared_vocab_only else None
+    mask_b = _shared_mask(table_b, table_a, policy) if shared_vocab_only else None
+    sets_a = _neighbor_sets(table_a, pq.rows_a, k, policy, row_mask=mask_a, threads=threads)
+    sets_b = _neighbor_sets(table_b, pq.rows_b, k, policy, row_mask=mask_b, threads=threads)
+    return _similarity_report(pq, sets_a, sets_b, k)
+
+
+def pairwise_similarity(
+    tables: list[EmbeddingTable],
+    queries: list[str],
+    k: int = 10,
+    policy: LookupPolicy = LookupPolicy(),
+    *,
+    threads: int = 1,
+) -> dict[tuple[int, int], SimilarityReport]:
+    """`embedding_similarity` of every pair (i, j), i < j, of the tables,
+    keyed by their indices in pair order. Each table is searched once,
+    over every query that resolves in it."""
+    pairs = {
+        (i, j): _resolve_pair(tables[i], tables[j], queries, k, policy)
+        for i in range(len(tables))
+        for j in range(i + 1, len(tables))
+    }
+    sets = []
+    for t in tables:
+        hits = (resolve_index(t, q, policy) for q in queries)
+        rows = [hit[0] for hit in hits if hit is not None]
+        sets.append(_neighbor_sets(t, rows, k, policy, threads=threads))
+    return {(i, j): _similarity_report(pq, sets[i], sets[j], k) for (i, j), pq in pairs.items()}
 
 
 def coverage(
@@ -332,20 +406,27 @@ def pair_report(
     threads: int = 1,
 ) -> PairReport:
     """One diagnostic row for a candidate pair: neighborhood overlap of the
-    two tables, and the second table's coverage, per split."""
-    parts = {}
+    two tables, and the second table's coverage, per split. Each table is
+    searched once, over the train then the dev queries."""
+    splits = {}
     for split_name, counts in (("train", train), ("dev", dev)):
-        queries = top_n_types(counts, n)
-        sim = embedding_similarity(table_a, table_b, queries, k, policy, threads=threads)
-        cov = coverage(counts, table_b, policy)
-        parts[split_name] = (sim.mean_jaccard_pct, cov.attested_pct)
+        pq = _resolve_pair(table_a, table_b, top_n_types(counts, n), k, policy)
+        splits[split_name] = (pq, coverage(counts, table_b, policy).attested_pct)
+    rows_a = [r for pq, _ in splits.values() for r in pq.rows_a]
+    rows_b = [r for pq, _ in splits.values() for r in pq.rows_b]
+    sets_a = _neighbor_sets(table_a, rows_a, k, policy, threads=threads)
+    sets_b = _neighbor_sets(table_b, rows_b, k, policy, threads=threads)
+    overlap = {
+        name: _similarity_report(pq, sets_a, sets_b, k).mean_jaccard_pct
+        for name, (pq, _) in splits.items()
+    }
     return PairReport(
         embedding_a=table_a.name,
         embedding_b=table_b.name,
-        overlap_train=parts["train"][0],
-        overlap_dev=parts["dev"][0],
-        attested_train=parts["train"][1],
-        attested_dev=parts["dev"][1],
+        overlap_train=overlap["train"],
+        overlap_dev=overlap["dev"],
+        attested_train=splits["train"][1],
+        attested_dev=splits["dev"][1],
         k=k,
         n=n,
     )

@@ -36,7 +36,7 @@ from .embio import (
     read_embeddings,
     write_embeddings,
 )
-from .errors import DataError
+from .errors import DataError, utf8_input
 from .manifest import build_manifest, file_sha256
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
 
@@ -182,7 +182,7 @@ def _cmd_convert_tags(args, t0):
             out_lines.append(" ".join(fields))
         block.clear()
 
-    with open(args.data, encoding="utf-8") as f:
+    with utf8_input(args.data), open(args.data, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():

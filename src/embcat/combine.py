@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coverage, embedding_similarity
+from .analysis import coverage, pairwise_similarity
 from .corpus import VocabCounts, top_n_types, vocab_counts
 from .embio import EmbeddingTable, LookupPolicy, RandomBackfill, random_vector, resolve_index
 from .errors import DataError
@@ -274,24 +274,22 @@ def recommend(
     cov_train = {t.name: coverage(train, t, policy).attested_pct for t in tables}
     cov_dev = {t.name: coverage(dev, t, policy).attested_pct for t in tables}
     verdicts = []
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            a, b = tables[i], tables[j]
-            sim = embedding_similarity(a, b, queries, k, policy, threads=threads)
-            min_att = min(cov_train[a.name], cov_train[b.name])
-            verdicts.append(
-                PairVerdict(
-                    embedding_a=a.name,
-                    embedding_b=b.name,
-                    overlap=sim.mean_jaccard_pct,
-                    attested_a=cov_train[a.name],
-                    attested_b=cov_train[b.name],
-                    attested_dev_a=cov_dev[a.name],
-                    attested_dev_b=cov_dev[b.name],
-                    min_attested=min_att,
-                    recommended=sim.mean_jaccard_pct < tau_sim and min_att >= tau_cov,
-                )
+    for (i, j), sim in pairwise_similarity(tables, queries, k, policy, threads=threads).items():
+        a, b = tables[i], tables[j]
+        min_att = min(cov_train[a.name], cov_train[b.name])
+        verdicts.append(
+            PairVerdict(
+                embedding_a=a.name,
+                embedding_b=b.name,
+                overlap=sim.mean_jaccard_pct,
+                attested_a=cov_train[a.name],
+                attested_b=cov_train[b.name],
+                attested_dev_a=cov_dev[a.name],
+                attested_dev_b=cov_dev[b.name],
+                min_attested=min_att,
+                recommended=sim.mean_jaccard_pct < tau_sim and min_att >= tau_cov,
             )
+        )
     verdicts.sort(
         key=lambda v: (
             not v.recommended,

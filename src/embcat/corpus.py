@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, utf8_input
 
 SPLITS = ("train", "dev", "test", "other")
 
@@ -141,7 +141,7 @@ def read_conll(
             tokens.clear()
             labels.clear()
 
-    with open(path, encoding="utf-8") as f:
+    with utf8_input(path), open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:
@@ -181,7 +181,7 @@ def read_labeled_text(
     """
     examples: list[Example] = []
     skipped = 0
-    with open(path, encoding="utf-8") as f:
+    with utf8_input(path), open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():

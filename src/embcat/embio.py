@@ -20,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import mmap
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, utf8_input
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +282,7 @@ def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -
     declared: int | None = None
     mat: np.ndarray | None = None
     n = 0
-    with open(path, encoding="utf-8", newline="\n") as f:
+    with utf8_input(path), open(path, encoding="utf-8", newline="\n") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n").rstrip("\r")
             if lineno == 1 and header:
@@ -291,7 +292,12 @@ def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -
                 declared, dim = hdr
                 if dim < 1:
                     raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
-                mat = np.empty((max(declared, 1), dim), np.float32)
+                # preallocate no more rows than the file can hold: each
+                # record is at least a token byte plus dim " v" pairs, so
+                # with no room for one, no record can parse and none is
+                # ever stored
+                fits = os.fstat(f.fileno()).st_size // (2 * dim + 1)
+                mat = np.empty((min(max(declared, 1), fits), dim), np.float32)
                 continue
             if not line:
                 raise DataError(f"{path}:{lineno}: blank line inside embedding file")
@@ -364,7 +370,10 @@ def _read_w2v_binary(path, name, keep_first: bool, strict: bool) -> EmbeddingTab
         words: list[str] = []
         index: dict[str, int] = {}
         dups = 0
-        mat = np.empty((declared, dim), np.float32)
+        # preallocate no more rows than the file can hold: each record is
+        # at least a token byte, a space and dim float32 values
+        fits = (size - nl - 1) // (rec_bytes + 2)
+        mat = np.empty((min(declared, fits), dim), np.float32)
         n = 0
         pos = nl + 1
         read_recs = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, random_table
+from embcat import analysis
 from embcat.analysis import (
     NeighborSet,
     coverage,
@@ -15,19 +16,20 @@ from embcat.analysis import (
     knn,
     pair_report,
 )
-from embcat.corpus import Sentence, TokenDataset, VocabCounts, vocab_counts
+from embcat.corpus import Sentence, TokenDataset, VocabCounts, top_n_types, vocab_counts
 from embcat.embio import LookupPolicy
 from embcat.errors import DataError
 
 
-def oracle_knn(table, query, k):
-    """Independent exhaustive search: every similarity, full sort."""
+def oracle_knn(table, query, k, allowed=None):
+    """Independent exhaustive search: every similarity, full sort; only
+    rows where `allowed` is true are candidates."""
     qi = table.index[query]
     q = table.vectors[qi].astype(np.float64)
     qn = np.linalg.norm(q)
     scored = []
     for i, w in enumerate(table.words):
-        if i == qi:
+        if i == qi or (allowed is not None and not allowed[i]):
             continue
         v = table.vectors[i].astype(np.float64)
         vn = np.linalg.norm(v)
@@ -113,6 +115,40 @@ def test_knn_thread_counts_identical():
     base = knn(t, "w0000", 10, threads=1)
     for threads in (2, 4):
         assert knn(t, "w0000", 10, threads=threads) == base
+
+
+def test_knn_zero_query_returns_token_smallest_rows():
+    # every candidate ties at -inf against a zero query: token order decides
+    rng = np.random.default_rng(8)
+    words = [f"w{i:02d}" for i in rng.permutation(30)]
+    vecs = rng.standard_normal((30, 4)).astype(np.float32)
+    vecs[12] = 0.0
+    t = make_table("t", words, vecs)
+    ns = knn(t, words[12], 5)
+    assert ns.tokens == tuple(sorted(w for w in words if w != words[12])[:5])
+    assert all(s == float("-inf") for _, s in ns.neighbors)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_batch_topk_across_chunks_matches_oracle(monkeypatch, threads):
+    # 45 rows in chunks of 7 (the last one shorter than k): tied rows, zero
+    # rows and query rows sit on both sides of chunk boundaries
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 7)
+    rng = np.random.default_rng(2024)
+    words = [f"w{i:02d}" for i in rng.permutation(45)]
+    vecs = rng.standard_normal((45, 4)).astype(np.float32)
+    vecs[7] = vecs[6]
+    vecs[14] = 2 * vecs[13]  # same direction: an exact cosine tie
+    vecs[20] = vecs[21] = vecs[22]
+    vecs[27] = vecs[35] = 0.0
+    t = make_table("t", words, vecs)
+    rows = [0, 6, 7, 13, 14, 20, 21, 27, 34, 35, 41, 42, 44]
+    mask = rng.random(45) < 0.7
+    for k in (1, 5, 10):
+        for row_mask in (None, mask):
+            got = analysis._batch_topk(t, rows, k, row_mask=row_mask, threads=threads)
+            for r, neighbors in zip(rows, got):
+                assert_matches_oracle(neighbors, oracle_knn(t, words[r], k, row_mask))
 
 
 def test_neighbor_set_validation():
@@ -316,3 +352,45 @@ def test_scale_invariance_quick():
     scaled = make_table(t.name, t.words, t.vectors * np.float32(1000.0))
     for q in t.words[:5]:
         assert knn(t, q, 5).tokens == knn(scaled, q, 5).tokens
+
+
+# ---------------------------------------------------------------------------
+# shared searches: one search per table must score like per-pair searches
+
+
+def _cased_pair():
+    # A has only lowercase rows, so "The"/"the" and "Dog"/"dog" resolve to
+    # one row in A and to two in B; "zz" is in B only
+    rng = np.random.default_rng(99)
+    base = [f"w{i:02d}" for i in range(40)]
+    a = make_table("A", base[:-2] + ["the", "dog"], rng.standard_normal((40, 6)))
+    words_b = base[:-5] + ["the", "The", "dog", "Dog", "zz"]
+    b = make_table("B", words_b, rng.standard_normal((40, 5)))
+    return a, b
+
+
+def test_pair_report_matches_per_split_similarity(monkeypatch):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 9)
+    a, b = _cased_pair()
+    train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50, "w01": 40,
+                     "w02": 30, "w30": 20, "w31": 10}, split="train")
+    dev = _counts({"dog": 9, "Dog": 8, "w31": 7, "w02": 6, "w10": 5, "w11": 4}, split="dev")
+    for threads in (1, 2):
+        for k, n in ((3, 9), (8, 4)):
+            row = pair_report(a, b, train, dev, k=k, n=n, threads=threads)
+            for counts, overlap in ((train, row.overlap_train), (dev, row.overlap_dev)):
+                queries = top_n_types(counts, n)
+                sim = embedding_similarity(a, b, queries, k, threads=threads)
+                assert overlap == sim.mean_jaccard_pct
+            assert row.attested_train == coverage(train, b).attested_pct
+            assert row.attested_dev == coverage(dev, b).attested_pct
+
+
+def test_pair_report_error_order():
+    a, b = _cased_pair()
+    shared = _counts({"w00": 1}, split="train")
+    none_shared = _counts({"zz": 1}, split="dev")
+    with pytest.raises(DataError, match="no shared queries"):
+        pair_report(a, b, shared, none_shared, k=3, n=5)
+    with pytest.raises(DataError, match="out of range for table 'A'"):
+        pair_report(a, b, none_shared, none_shared, k=40, n=5)

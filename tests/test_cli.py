@@ -97,6 +97,25 @@ def test_data_errors_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_non_utf8_inputs_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(b"\xffEU NNP B-ORG\n")
+    code, _, err = run(capsys, "coverage", "--emb", FIXTURE, "--data", str(bad))
+    assert code == 1 and f"{bad}:1: not valid UTF-8" in err
+    code, _, err = run(
+        capsys, "convert-tags", "--data", str(bad), "--out", str(tmp_path / "o"),
+        "--from", "bio", "--to", "iobes",
+    )
+    assert code == 1 and f"{bad}:1: not valid UTF-8" in err
+
+
+def test_impossible_header_count_exits_1_when_strict(capsys, tmp_path):
+    emb = tmp_path / "huge.bin"
+    emb.write_bytes(b"99999999999 2\na " + np.zeros(2, "<f4").tobytes() + b"\n")
+    code, _, err = run(capsys, "info", "--emb", str(emb), "--strict")
+    assert code == 1 and f"{emb}: header declares 99999999999" in err
+
+
 def test_convert_round_trip(capsys, tmp_path):
     out = tmp_path / "tiny.bin"
     rep = run_json(capsys, "convert", "--emb", FIXTURE, "--out", str(out), "--to", "w2v", "--stable")

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, random_table
+from embcat import analysis
+from embcat.analysis import coverage, embedding_similarity
 from embcat.combine import (
     PAD_TOKEN,
     UNK_TOKEN,
@@ -17,7 +19,14 @@ from embcat.combine import (
     with_special_tokens,
     zero_token_row,
 )
-from embcat.corpus import Example, Sentence, TextDataset, TokenDataset, VocabCounts
+from embcat.corpus import (
+    Example,
+    Sentence,
+    TextDataset,
+    TokenDataset,
+    VocabCounts,
+    top_n_types,
+)
 from embcat.embio import LookupPolicy, RandomBackfill, random_vector
 from embcat.errors import DataError
 
@@ -369,3 +378,57 @@ def test_recommend_name_collision():
     counts = VocabCounts({"a": 1, "b": 1}, split="train")
     with pytest.raises(DataError):
         recommend([t1, t2], counts, counts, k=1, n=2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
+    # tables span several search chunks; "The"/"the" resolve to one row in
+    # the lowercase-only tables and to two rows in "cased"
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 8)
+    rng = np.random.default_rng(12)
+    words = [f"w{i:02d}" for i in range(30)]
+    tables = [
+        make_table("low1", words + ["the"], rng.standard_normal((31, 6))),
+        make_table("low2", words[5:] + ["the"], rng.standard_normal((26, 3))),
+        make_table("cased", ["The", "the"] + words[:20], rng.standard_normal((22, 8))),
+    ]
+    counts = VocabCounts(
+        {"The": 99, "the": 98, **{w: 30 - i for i, w in enumerate(words)}}, split="train"
+    )
+    dev = VocabCounts({"w00": 3, "w29": 2}, split="dev")
+    policy = LookupPolicy()
+    queries = top_n_types(counts, 12)
+    verdicts = recommend(
+        tables, counts, dev, tau_sim=12.0, tau_cov=50.0, k=4, n=12, threads=threads
+    )
+    assert [v.recommended for v in verdicts] == [True, False, False]
+    by_name = {t.name: t for t in tables}
+    for v in verdicts:
+        a, b = by_name[v.embedding_a], by_name[v.embedding_b]
+        sim = embedding_similarity(a, b, queries, 4, policy, threads=threads)
+        cov_a = coverage(counts, a, policy).attested_pct
+        cov_b = coverage(counts, b, policy).attested_pct
+        assert v == PairVerdict(
+            embedding_a=a.name,
+            embedding_b=b.name,
+            overlap=sim.mean_jaccard_pct,
+            attested_a=cov_a,
+            attested_b=cov_b,
+            attested_dev_a=coverage(dev, a, policy).attested_pct,
+            attested_dev_b=coverage(dev, b, policy).attested_pct,
+            min_attested=min(cov_a, cov_b),
+            recommended=sim.mean_jaccard_pct < 12.0 and min(cov_a, cov_b) >= 50.0,
+        )
+
+
+def test_recommend_errors_follow_pair_order():
+    # pair (a, b) shares no query, and c is too small for k: the first
+    # pair's error wins, as when each pair was searched in turn
+    a = make_table("a", ["x", "y", "z"], np.eye(3))
+    b = make_table("b", ["p", "q", "r"], np.eye(3))
+    c = make_table("c", ["x", "p"], np.eye(2))
+    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    with pytest.raises(DataError, match="no shared queries"):
+        recommend([a, b, c], counts, counts, k=2, n=2)
+    with pytest.raises(DataError, match="out of range for table 'c'"):
+        recommend([a, c, b], counts, counts, k=2, n=2)

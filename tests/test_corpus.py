@@ -58,6 +58,14 @@ def test_read_conll_column_out_of_range(tmp_path):
         read_conll(p, token_column=-3)
 
 
+@pytest.mark.parametrize("reader", [read_conll, read_labeled_text])
+def test_read_not_utf8_names_line(tmp_path, reader):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"O\tok\nO\tcaf\xe9\n")
+    with pytest.raises(DataError, match=r"latin1\.txt:2: not valid UTF-8 \(byte 0xe9"):
+        reader(p)
+
+
 def test_read_conll_empty(tmp_path):
     p = tmp_path / "empty.conll"
     p.write_text("\n\n")

@@ -222,6 +222,13 @@ def test_read_header_mismatch(tmp_path, caplog):
         read_embeddings(p, Format.GLOVE_TEXT_HEADER, strict=True)
 
 
+def test_read_not_utf8_names_line(tmp_path):
+    p = tmp_path / "latin1.glove"
+    p.write_bytes(b"a 1 0\ncaf\xe9 0 1\n")
+    with pytest.raises(DataError, match=r"latin1\.glove:2: not valid UTF-8"):
+        read_embeddings(p, Format.GLOVE_TEXT)
+
+
 def test_read_empty_file(tmp_path):
     p = tmp_path / "empty.glove"
     p.write_text("")
@@ -275,6 +282,32 @@ def test_binary_count_mismatch(tmp_path, caplog):
     assert len(t) == 1
     with pytest.raises(DataError):
         read_embeddings(p, Format.WORD2VEC_BINARY, strict=True)
+
+
+@pytest.mark.parametrize("fmt", [Format.GLOVE_TEXT_HEADER, Format.WORD2VEC_BINARY])
+def test_header_sizes_beyond_the_file_are_not_preallocated(tmp_path, caplog, fmt):
+    # an unbounded preallocation would ask for 745 GiB, 373 GiB and 109 TiB
+    def write(name, declared, dim, records):
+        p = tmp_path / name
+        if fmt is Format.WORD2VEC_BINARY:
+            p.write_bytes(_w2v_bytes(records, dim, header=declared))
+        else:
+            body = "".join(f"{t} {' '.join(map(str, v))}\n" for t, v in records)
+            p.write_text(f"{declared} {dim}\n{body}")
+        return p
+
+    p = write("count", 99999999999, 2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+    with caplog.at_level("WARNING"):
+        assert read_embeddings(p, fmt).words == ("a", "b")
+    assert any("declares 99999999999" in r.message for r in caplog.records)
+    with pytest.raises(DataError, match="declares 99999999999 records, file holds 2"):
+        read_embeddings(p, fmt, strict=True)
+    p = write("dim", 1, 99999999999, [("a", [1.0, 0.0])])
+    with pytest.raises(DataError, match="dim:2: expected 99999999999|'a' truncated"):
+        read_embeddings(p, fmt)
+    p = write("wide", 99999999999, 300, [("a", [0.5] * 300)])
+    with pytest.raises(DataError, match="declares 99999999999"):
+        read_embeddings(p, fmt, strict=True)
 
 
 def test_binary_bad_header(tmp_path):
