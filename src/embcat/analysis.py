@@ -24,13 +24,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import VocabCounts, top_n_types
-from .embio import EmbeddingTable, LookupPolicy, resolve_index
+from .embio import EmbeddingTable, resolve_index
 from .errors import DataError
 
 # rows per vocabulary chunk in the brute-force search; fixed (never derived
 # from thread count) so chunk boundaries, and therefore every floating-point
 # intermediate, are reproducible
 CHUNK_ROWS = 65536
+
+
+def span_map(fn, n: int, span: int, threads: int) -> list:
+    """`fn(lo, hi)` over the consecutive spans of `span` rows that cover
+    range(n), results in span order. Span bounds depend on `span` alone,
+    never on `threads`, so results are identical for any thread count."""
+    spans = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda s: fn(*s), spans))
+    return [fn(*s) for s in spans]
 
 
 @dataclass(frozen=True)
@@ -191,17 +202,11 @@ def _batch_topk(
     norms = _eligible_norms(table)
     q_mat = table.vectors[q_rows].astype(np.float64).T  # (dim, queries)
     q_norms = norms[q_rows]
-    spans = [(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
 
-    def work(span):
-        lo, hi = span
+    def work(lo, hi):
         return _chunk_candidates(table, norms, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(work, spans))
-    else:
-        per_chunk = [work(s) for s in spans]
+    per_chunk = span_map(work, n, CHUNK_ROWS, threads)
 
     results = []
     words = table.words
@@ -228,10 +233,10 @@ def knn(table: EmbeddingTable, query: str, k: int, *, threads: int = 1) -> Neigh
     return NeighborSet(query, tuple(rows[0]))
 
 
-def _shared_mask(table: EmbeddingTable, other: EmbeddingTable, policy: LookupPolicy) -> np.ndarray:
+def _shared_mask(table: EmbeddingTable, other: EmbeddingTable, fold_case: bool) -> np.ndarray:
     mask = np.zeros(len(table), dtype=bool)
     for i, w in enumerate(table.words):
-        if resolve_index(other, w, policy) is not None:
+        if resolve_index(other, w, fold_case) is not None:
             mask[i] = True
     return mask
 
@@ -251,7 +256,7 @@ def _resolve_pair(
     table_b: EmbeddingTable,
     queries: list[str],
     k: int,
-    policy: LookupPolicy,
+    fold_case: bool,
 ) -> _PairQueries:
     """Check k against both tables and resolve each query in both; a query
     that is a duplicate or missing from either table is skipped with a
@@ -270,8 +275,8 @@ def _resolve_pair(
             skipped.append((q, "duplicate query"))
             continue
         seen.add(q)
-        ha = resolve_index(table_a, q, policy)
-        hb = resolve_index(table_b, q, policy)
+        ha = resolve_index(table_a, q, fold_case)
+        hb = resolve_index(table_b, q, fold_case)
         if ha is None and hb is None:
             skipped.append((q, f"not in {table_a.name} or {table_b.name}"))
         elif ha is None:
@@ -291,16 +296,17 @@ def _neighbor_sets(
     table: EmbeddingTable,
     rows: list[int],
     k: int,
-    policy: LookupPolicy,
+    fold_case: bool,
     *,
     row_mask: np.ndarray | None = None,
     threads: int = 1,
 ) -> dict[int, set[str]]:
-    """Policy-normalized k-NN token set of each distinct query row, from
-    one search over all of them (first-appearance order)."""
+    """k-NN token set of each distinct query row, lowercased when
+    fold_case, from one search over all of them (first-appearance order)."""
     distinct = list(dict.fromkeys(rows))
     tops = _batch_topk(table, distinct, k, row_mask=row_mask, threads=threads)
-    return {r: {policy.normalize(t) for t, _ in top} for r, top in zip(distinct, tops)}
+    fold = str.lower if fold_case else str
+    return {r: {fold(t) for t, _ in top} for r, top in zip(distinct, tops)}
 
 
 def _similarity_report(
@@ -326,7 +332,7 @@ def embedding_similarity(
     table_b: EmbeddingTable,
     queries: list[str],
     k: int = 10,
-    policy: LookupPolicy = LookupPolicy(),
+    fold_case: bool = True,
     *,
     shared_vocab_only: bool = False,
     threads: int = 1,
@@ -338,13 +344,13 @@ def embedding_similarity(
     queries are skipped with a reason, never scored as zero. Each table is
     searched over its own full vocabulary unless shared_vocab_only
     restricts candidates to tokens resolvable in the other table. Neighbor
-    tokens are normalized by the policy before the sets are compared.
+    tokens are lowercased, when fold_case, before the sets are compared.
     """
-    pq = _resolve_pair(table_a, table_b, queries, k, policy)
-    mask_a = _shared_mask(table_a, table_b, policy) if shared_vocab_only else None
-    mask_b = _shared_mask(table_b, table_a, policy) if shared_vocab_only else None
-    sets_a = _neighbor_sets(table_a, pq.rows_a, k, policy, row_mask=mask_a, threads=threads)
-    sets_b = _neighbor_sets(table_b, pq.rows_b, k, policy, row_mask=mask_b, threads=threads)
+    pq = _resolve_pair(table_a, table_b, queries, k, fold_case)
+    mask_a = _shared_mask(table_a, table_b, fold_case) if shared_vocab_only else None
+    mask_b = _shared_mask(table_b, table_a, fold_case) if shared_vocab_only else None
+    sets_a = _neighbor_sets(table_a, pq.rows_a, k, fold_case, row_mask=mask_a, threads=threads)
+    sets_b = _neighbor_sets(table_b, pq.rows_b, k, fold_case, row_mask=mask_b, threads=threads)
     return _similarity_report(pq, sets_a, sets_b, k)
 
 
@@ -352,7 +358,7 @@ def pairwise_similarity(
     tables: list[EmbeddingTable],
     queries: list[str],
     k: int = 10,
-    policy: LookupPolicy = LookupPolicy(),
+    fold_case: bool = True,
     *,
     threads: int = 1,
 ) -> dict[tuple[int, int], SimilarityReport]:
@@ -360,29 +366,29 @@ def pairwise_similarity(
     keyed by their indices in pair order. Each table is searched once,
     over every query that resolves in it."""
     pairs = {
-        (i, j): _resolve_pair(tables[i], tables[j], queries, k, policy)
+        (i, j): _resolve_pair(tables[i], tables[j], queries, k, fold_case)
         for i in range(len(tables))
         for j in range(i + 1, len(tables))
     }
     sets = []
     for t in tables:
-        hits = (resolve_index(t, q, policy) for q in queries)
+        hits = (resolve_index(t, q, fold_case) for q in queries)
         rows = [hit[0] for hit in hits if hit is not None]
-        sets.append(_neighbor_sets(t, rows, k, policy, threads=threads))
+        sets.append(_neighbor_sets(t, rows, k, fold_case, threads=threads))
     return {(i, j): _similarity_report(pq, sets[i], sets[j], k) for (i, j), pq in pairs.items()}
 
 
 def coverage(
-    counts: VocabCounts, table: EmbeddingTable, policy: LookupPolicy = LookupPolicy()
+    counts: VocabCounts, table: EmbeddingTable, fold_case: bool = True
 ) -> CoverageReport:
     """Share of a corpus's unique types (and running tokens) the table
-    attests under the lookup policy."""
+    attests, looked up exactly and, when fold_case, lowercased."""
     if not counts.counts:
         raise DataError("empty vocabulary counts")
     attested = 0
     covered_tokens = 0
     for t, c in counts.counts.items():
-        if resolve_index(table, t, policy) is not None:
+        if resolve_index(table, t, fold_case) is not None:
             attested += 1
             covered_tokens += c
     return CoverageReport(
@@ -401,7 +407,7 @@ def pair_report(
     dev: VocabCounts,
     k: int = 10,
     n: int = 200,
-    policy: LookupPolicy = LookupPolicy(),
+    fold_case: bool = True,
     *,
     threads: int = 1,
 ) -> PairReport:
@@ -410,12 +416,12 @@ def pair_report(
     searched once, over the train then the dev queries."""
     splits = {}
     for split_name, counts in (("train", train), ("dev", dev)):
-        pq = _resolve_pair(table_a, table_b, top_n_types(counts, n), k, policy)
-        splits[split_name] = (pq, coverage(counts, table_b, policy).attested_pct)
+        pq = _resolve_pair(table_a, table_b, top_n_types(counts, n), k, fold_case)
+        splits[split_name] = (pq, coverage(counts, table_b, fold_case).attested_pct)
     rows_a = [r for pq, _ in splits.values() for r in pq.rows_a]
     rows_b = [r for pq, _ in splits.values() for r in pq.rows_b]
-    sets_a = _neighbor_sets(table_a, rows_a, k, policy, threads=threads)
-    sets_b = _neighbor_sets(table_b, rows_b, k, policy, threads=threads)
+    sets_a = _neighbor_sets(table_a, rows_a, k, fold_case, threads=threads)
+    sets_b = _neighbor_sets(table_b, rows_b, k, fold_case, threads=threads)
     overlap = {
         name: _similarity_report(pq, sets_a, sets_b, k).mean_jaccard_pct
         for name, (pq, _) in splits.items()

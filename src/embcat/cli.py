@@ -17,6 +17,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+from . import __version__
 from .analysis import coverage, embedding_similarity, pair_report
 from .combine import (
     PAD_TOKEN,
@@ -28,14 +29,7 @@ from .combine import (
     zero_token_row,
 )
 from .corpus import SPLITS, read_conll, read_labeled_text, top_n_types, vocab_counts
-from .embio import (
-    Format,
-    LookupPolicy,
-    RandomBackfill,
-    detect_format,
-    read_embeddings,
-    write_embeddings,
-)
+from .embio import Format, RandomBackfill, detect_format, read_embeddings, write_embeddings
 from .errors import DataError, utf8_input
 from .manifest import build_manifest, file_sha256
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
@@ -84,11 +78,20 @@ def _load_table(arg: str, fmt: Format | None, strict: bool = False):
     return table, path
 
 
+def _parse_normalize(spec: str) -> bool:
+    """The --normalize lookup chain, "exact" or "exact,lowercase": whether
+    lookups fold case."""
+    chain = tuple(s.strip() for s in spec.split(",") if s.strip())
+    if chain not in (("exact",), ("exact", "lowercase")):
+        raise ValueError(f"--normalize must be 'exact' or 'exact,lowercase', got {spec!r}")
+    return len(chain) == 2
+
+
 def _count_normalization(args) -> str:
     """Types are counted in the space lookups happen in, unless --raw."""
     if args.raw:
         return "exact"
-    return "lowercase" if "lowercase" in args.policy.chain else "exact"
+    return "lowercase" if args.fold_case else "exact"
 
 
 def _read_dataset(args, path: str, split: str = "other"):
@@ -105,7 +108,7 @@ def _read_dataset(args, path: str, split: str = "other"):
 
 
 def _manifest(args, inputs: dict[str, str], t0: float) -> dict:
-    skip = {"func", "subcommand", "seed", "stable", "policy"}
+    skip = {"func", "subcommand", "seed", "stable", "fold_case"}
     options = {}
     for key, val in vars(args).items():
         if key in skip:
@@ -223,7 +226,7 @@ def _cmd_coverage(args, t0):
     table, path = _load_table(args.emb, args.emb_format)
     dataset = _read_dataset(args, args.data, args.split)
     counts = vocab_counts(dataset, _count_normalization(args))
-    report = asdict(coverage(counts, table, args.policy))
+    report = asdict(coverage(counts, table, args.fold_case))
     report["embedding"] = table.name
     report["normalization"] = counts.normalization
     report["manifest"] = _manifest(args, {"emb": path, "data": args.data}, t0)
@@ -241,7 +244,7 @@ def _cmd_similarity(args, t0):
         table_b,
         queries,
         args.k,
-        args.policy,
+        args.fold_case,
         shared_vocab_only=args.shared_vocab_only,
         threads=args.threads,
     )
@@ -275,7 +278,7 @@ def _cmd_pair_report(args, t0):
         vocab_counts(dev_ds, norm),
         args.k,
         args.top_n,
-        args.policy,
+        args.fold_case,
         threads=args.threads,
     )
     report = asdict(row)
@@ -303,11 +306,12 @@ def _cmd_combine(args, t0):
         vocab = with_special_tokens(vocab)
     policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
-    table = combine(tables, vocab, policy, backfill, args.policy, threads=args.threads)
+    table = combine(tables, vocab, policy, backfill, args.fold_case, threads=args.threads)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
     write_embeddings(table, args.out, args.to)
     out_sha = file_sha256(args.out)
+    manifest = _manifest(args, paths, t0)
     sidecar = {
         "out": str(args.out),
         "output_sha256": out_sha,
@@ -319,7 +323,7 @@ def _cmd_combine(args, t0):
             {
                 "name": t.name,
                 "path": paths[f"emb:{t.name}"],
-                "sha256": file_sha256(paths[f"emb:{t.name}"]),
+                "sha256": manifest["input_sha256"][f"emb:{t.name}"],
                 "vocab": len(t),
                 "dim": t.dim,
             }
@@ -327,10 +331,10 @@ def _cmd_combine(args, t0):
         ],
         "seed": args.seed,
         "backfill": {"low": args.backfill_low, "high": args.backfill_high},
-        "normalization": list(args.policy.chain),
+        "normalization": ["exact", "lowercase"] if args.fold_case else ["exact"],
         "min_count": args.min_count,
         "special_tokens": bool(args.add_special_tokens),
-        "version": _version(),
+        "version": __version__,
     }
     manifest_path = str(args.out) + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as f:
@@ -346,7 +350,7 @@ def _cmd_combine(args, t0):
         "output_sha256": out_sha,
         "sidecar_manifest": manifest_path,
     }
-    report["manifest"] = _manifest(args, paths, t0)
+    report["manifest"] = manifest
     return report
 
 
@@ -370,7 +374,7 @@ def _cmd_recommend(args, t0):
         args.tau_cov,
         args.k,
         args.top_n,
-        args.policy,
+        args.fold_case,
         threads=args.threads,
     )
     paths["train"] = args.train
@@ -397,12 +401,6 @@ def _cmd_score(args, t0):
     report = asdict(result)
     report["manifest"] = _manifest(args, {"gold": args.gold, "pred": args.pred}, t0)
     return report
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--normalize",
         default="exact,lowercase",
-        help="lookup chain, e.g. 'exact' or 'exact,lowercase'",
+        help="lookup chain: 'exact' or 'exact,lowercase'",
     )
     run.add_argument("--format", choices=("json", "text"), default="json", dest="out_format")
     run.add_argument(
@@ -648,7 +646,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     t0 = time.monotonic()
     try:
-        args.policy = LookupPolicy.parse(args.normalize)
+        args.fold_case = _parse_normalize(args.normalize)
         if args.threads is None:
             args.threads = _default_threads()
         elif args.threads < 1:

@@ -2,21 +2,21 @@
 
 Builds a model-ready table over a dataset vocabulary by concatenating one
 row per source table, backfilling unattested types with keyed random
-vectors. Three ablation variants rebuild the second table before
-concatenation: all rows random, only the first table's complement kept
-pretrained, or only its overlap kept pretrained.
+vectors. Three ablation variants decide, row by row, whether the second
+table's slice is its pretrained row or a keyed random vector: always
+random, pretrained only outside the first table's vocabulary (complement),
+or pretrained only inside it (overlap). No table is rebuilt.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coverage, pairwise_similarity
+from .analysis import coverage, pairwise_similarity, span_map
 from .corpus import VocabCounts, top_n_types, vocab_counts
-from .embio import EmbeddingTable, LookupPolicy, RandomBackfill, random_vector, resolve_index
+from .embio import EmbeddingTable, RandomBackfill, random_vector, resolve_index
 from .errors import DataError
 
 COMBINE_KINDS = ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond")
@@ -33,7 +33,7 @@ UNK_TOKEN = "<UNK>"
 class CombinePolicy:
     """Which combination variant to build.
 
-    `applies_to` is the index of the table the ablation rebuilds (the
+    `applies_to` is the index of the table the ablation applies to (the
     "second" embedding); it is meaningless for plain Concat.
     """
 
@@ -45,7 +45,7 @@ class CombinePolicy:
             raise ValueError(f"kind must be one of {COMBINE_KINDS}, got {self.kind!r}")
         if self.kind == "Concat":
             if self.applies_to is not None:
-                raise ValueError("Concat transforms no table; applies_to must be None")
+                raise ValueError("Concat ablates no table; applies_to must be None")
         else:
             idx = 1 if self.applies_to is None else self.applies_to
             if idx < 1:
@@ -58,7 +58,7 @@ class CombinePolicy:
         key = spec.replace("-", "").replace("_", "").lower()
         for kind in COMBINE_KINDS:
             if key == kind.lower():
-                return cls(kind, None if kind == "Concat" else applies_to)
+                return cls(kind, applies_to)
         raise ValueError(f"unknown combine kind {spec!r}; expected one of {COMBINE_KINDS}")
 
 
@@ -117,55 +117,30 @@ def model_vocab(
     return ModelVocab(ordered, kept, tuple(used_splits))
 
 
-def transform_second(
-    second: EmbeddingTable,
-    first_vocab: set[str],
-    policy: CombinePolicy,
-    backfill: RandomBackfill,
-) -> EmbeddingTable:
-    """Rebuild a table for one of the ablation variants.
-
-    Vocabulary and width never change; rows are either kept verbatim or
-    replaced by the keyed random vector for (table name, token):
-      RandomSecond     - every row replaced;
-      ComplementSecond - rows for tokens in first_vocab replaced, so only
-                         the complement of the first vocabulary stays
-                         pretrained;
-      MatchedSecond    - rows for tokens outside first_vocab replaced, so
-                         only the overlap stays pretrained.
-    """
-    if policy.kind == "Concat":
-        raise ValueError("Concat transforms no table")
-    if policy.kind in ("ComplementSecond", "MatchedSecond") and not first_vocab:
-        raise ValueError(f"{policy.kind} needs a non-empty first vocabulary")
-    mat = second.vectors.copy()
-    if policy.kind == "RandomSecond":
-        replace = lambda w: True
-    elif policy.kind == "ComplementSecond":
-        replace = lambda w: w in first_vocab
-    else:
-        replace = lambda w: w not in first_vocab
-    for i, w in enumerate(second.words):
-        if replace(w):
-            mat[i] = random_vector(backfill, second.name, w, second.dim)
-    return EmbeddingTable(second.name, second.words, mat)
-
-
 def combine(
     tables: list[EmbeddingTable],
     vocab: ModelVocab,
     policy: CombinePolicy,
     backfill: RandomBackfill,
-    lookup_policy: LookupPolicy = LookupPolicy(),
+    fold_case: bool = True,
     *,
     threads: int = 1,
 ) -> EmbeddingTable:
     """One output row per vocabulary type: the concatenation, over source
     tables, of the looked-up row or the keyed random backfill vector.
 
-    Under an ablation policy the transformed table's "first vocabulary" is
-    the union of the vocabularies before it. Output is deterministic for a
-    fixed seed regardless of thread count.
+    Under an ablation policy, the slice of table `policy.applies_to` for a
+    type that resolves to one of its rows is that row or the keyed random
+    vector of the row's token:
+      RandomSecond     - always the random vector;
+      ComplementSecond - the random vector when the token is in the "first
+                         vocabulary", the union of the vocabularies of the
+                         tables before it, so only the complement of the
+                         first vocabulary stays pretrained;
+      MatchedSecond    - the random vector when the token is outside the
+                         first vocabulary, so only the overlap stays
+                         pretrained.
+    Output is deterministic for a fixed seed regardless of thread count.
     """
     if not tables:
         raise DataError("need at least one source table")
@@ -179,8 +154,11 @@ def combine(
         if idx >= len(tables):
             raise DataError(f"applies_to={idx} out of range for {len(tables)} tables")
         first_vocab = set().union(*(t.words for t in tables[:idx]))
-        tables = list(tables)
-        tables[idx] = transform_second(tables[idx], first_vocab, policy, backfill)
+        replaces = {
+            "RandomSecond": lambda word: True,
+            "ComplementSecond": lambda word: word in first_vocab,
+            "MatchedSecond": lambda word: word not in first_vocab,
+        }[policy.kind]
 
     dims = [t.dim for t in tables]
     offsets = np.concatenate([[0], np.cumsum(dims)])
@@ -192,20 +170,19 @@ def combine(
             off = int(offsets[ti])
             end = off + table.dim
             for r in range(lo, hi):
-                typ = types[r]
-                hit = resolve_index(table, typ, lookup_policy)
-                if hit is not None:
-                    out[r, off:end] = table.vectors[hit[0]]
+                hit = resolve_index(table, types[r], fold_case)
+                if hit is None:
+                    key = types[r]
+                elif ti == policy.applies_to and replaces(table.words[hit[0]]):
+                    # keyed by the row's token, not the type: "The" and
+                    # "the" resolving to one row share its replacement
+                    key = table.words[hit[0]]
                 else:
-                    out[r, off:end] = random_vector(backfill, table.name, typ, table.dim)
+                    out[r, off:end] = table.vectors[hit[0]]
+                    continue
+                out[r, off:end] = random_vector(backfill, table.name, key, table.dim)
 
-    spans = [(lo, min(lo + _FILL_ROWS, len(types))) for lo in range(0, len(types), _FILL_ROWS)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
-    else:
-        for s in spans:
-            fill(*s)
+    span_map(fill, len(types), _FILL_ROWS, threads)
     return EmbeddingTable("+".join(names), types, out)
 
 
@@ -253,7 +230,7 @@ def recommend(
     tau_cov: float = 70.0,
     k: int = 10,
     n: int = 200,
-    policy: LookupPolicy = LookupPolicy(),
+    fold_case: bool = True,
     *,
     threads: int = 1,
 ) -> list[PairVerdict]:
@@ -271,10 +248,10 @@ def recommend(
     if len(set(names)) != len(names):
         raise DataError(f"table name collision in {names}")
     queries = top_n_types(train, n)
-    cov_train = {t.name: coverage(train, t, policy).attested_pct for t in tables}
-    cov_dev = {t.name: coverage(dev, t, policy).attested_pct for t in tables}
+    cov_train = {t.name: coverage(train, t, fold_case).attested_pct for t in tables}
+    cov_dev = {t.name: coverage(dev, t, fold_case).attested_pct for t in tables}
     verdicts = []
-    for (i, j), sim in pairwise_similarity(tables, queries, k, policy, threads=threads).items():
+    for (i, j), sim in pairwise_similarity(tables, queries, k, fold_case, threads=threads).items():
         a, b = tables[i], tables[j]
         min_att = min(cov_train[a.name], cov_train[b.name])
         verdicts.append(

@@ -207,23 +207,6 @@ def read_labeled_text(
     return TextDataset(tuple(examples), split=split, n_skipped=skipped)
 
 
-def write_conll(dataset: TokenDataset, path) -> None:
-    """Two-column token/label file that read_conll parses back verbatim."""
-    for i, sent in enumerate(dataset.sentences):
-        for tok, lab in zip(sent.tokens, sent.labels):
-            for v in (tok, lab):
-                if not v or v.split() != [v]:
-                    raise DataError(
-                        f"sentence {i}: value {v!r} cannot be written to a column file"
-                    )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for k, sent in enumerate(dataset.sentences):
-            if k:
-                f.write("\n")
-            for tok, lab in zip(sent.tokens, sent.labels):
-                f.write(f"{tok} {lab}\n")
-
-
 def vocab_counts(dataset, normalization: str = "exact") -> VocabCounts:
     """Count surface types over a dataset's tokens."""
     if normalization not in NORMALIZATIONS:
@@ -248,15 +231,3 @@ def top_n_types(counts: VocabCounts, n: int) -> list[str]:
     ordered = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [t for t, _ in ordered[:n]]
 
-
-def merge_counts(parts: list[VocabCounts], split: str = "other") -> VocabCounts:
-    """Sum counts across datasets that share a normalization."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    norms = {p.normalization for p in parts}
-    if len(norms) != 1:
-        raise ValueError(f"cannot merge counts with mixed normalizations {sorted(norms)}")
-    total: Counter[str] = Counter()
-    for p in parts:
-        total.update(p.counts)
-    return VocabCounts(dict(total), normalization=parts[0].normalization, split=split)

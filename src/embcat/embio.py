@@ -42,41 +42,6 @@ class Format(Enum):
     WORD2VEC_BINARY = "Word2VecBinary"
 
 
-LOOKUP_STEPS = ("exact", "lowercase")
-
-
-@dataclass(frozen=True)
-class LookupPolicy:
-    """Ordered normalization steps tried against a table's vocabulary.
-
-    The first step is always `exact`; `lowercase` may follow it for
-    matching cased text against lowercased vocabularies.
-    """
-
-    chain: tuple[str, ...] = ("exact", "lowercase")
-
-    def __post_init__(self):
-        if not self.chain:
-            raise ValueError("lookup chain must be non-empty")
-        if self.chain[0] != "exact":
-            raise ValueError("lookup chain must start with 'exact'")
-        if len(set(self.chain)) != len(self.chain):
-            raise ValueError(f"lookup chain repeats a step: {self.chain}")
-        for step in self.chain:
-            if step not in LOOKUP_STEPS:
-                raise ValueError(f"unknown lookup step {step!r}")
-
-    @classmethod
-    def parse(cls, spec: str) -> "LookupPolicy":
-        """Parse a comma-separated chain such as "exact,lowercase"."""
-        return cls(tuple(s.strip() for s in spec.split(",") if s.strip()))
-
-    def normalize(self, token: str) -> str:
-        """Terminal normalization of the chain: the surface form that type
-        counting and neighbor-set comparison operate on."""
-        return token.lower() if "lowercase" in self.chain else token
-
-
 @dataclass(frozen=True)
 class RandomBackfill:
     """Keyed uniform random vectors for types unattested in a table.
@@ -167,21 +132,27 @@ class EmbeddingTable:
         return self.vectors[self.index[token]]
 
 
-def resolve_index(table: EmbeddingTable, token: str, policy: LookupPolicy) -> tuple[int, str] | None:
-    """Row index and the chain step that matched, or None if no step hits."""
-    for step in policy.chain:
-        cand = token if step == "exact" else token.lower()
-        i = table.index.get(cand)
+def resolve_index(
+    table: EmbeddingTable, token: str, fold_case: bool = True
+) -> tuple[int, str] | None:
+    """Row index and the lookup step that matched: "exact", then, when
+    fold_case, "lowercase" for matching cased text against lowercased
+    vocabularies. None if no step hits."""
+    i = table.index.get(token)
+    if i is not None:
+        return i, "exact"
+    if fold_case:
+        i = table.index.get(token.lower())
         if i is not None:
-            return i, step
+            return i, "lowercase"
     return None
 
 
 def lookup(
-    table: EmbeddingTable, token: str, policy: LookupPolicy = LookupPolicy()
+    table: EmbeddingTable, token: str, fold_case: bool = True
 ) -> tuple[np.ndarray, str] | None:
-    """First chain step that hits wins. Absence is None, not an error."""
-    hit = resolve_index(table, token, policy)
+    """First lookup step that hits wins. Absence is None, not an error."""
+    hit = resolve_index(table, token, fold_case)
     if hit is None:
         return None
     i, step = hit
@@ -479,7 +450,3 @@ def _write_w2v_binary(table: EmbeddingTable, path) -> None:
             f.write(row.tobytes())
             f.write(b"\n")
 
-
-def tables_equal(a: EmbeddingTable, b: EmbeddingTable) -> bool:
-    """Equality on the data a file round-trip must preserve."""
-    return a.words == b.words and a.dim == b.dim and np.array_equal(a.vectors, b.vectors)

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from embcat.embio import EmbeddingTable
+from embcat.corpus import TokenDataset, VocabCounts
+from embcat.embio import EmbeddingTable, RandomBackfill, random_vector
+from embcat.errors import DataError
 
 
 def make_table(name, words, vectors) -> EmbeddingTable:
@@ -15,6 +19,61 @@ def random_table(rng, name="t", n=None, dim=None) -> EmbeddingTable:
     words = tuple(f"w{i:04d}" for i in range(n))
     vecs = rng.standard_normal((n, dim)).astype(np.float32)
     return EmbeddingTable(name, words, vecs)
+
+
+def tables_equal(a: EmbeddingTable, b: EmbeddingTable) -> bool:
+    """Equality on the data a file round-trip must preserve."""
+    return a.words == b.words and a.dim == b.dim and np.array_equal(a.vectors, b.vectors)
+
+
+def ablated_reference(
+    second: EmbeddingTable, first_vocab: set[str], kind: str, backfill: RandomBackfill
+) -> EmbeddingTable:
+    """Whole-table rewrite of the ablated table, the reference `combine`'s
+    per-row ablation must agree with: same vocabulary and width, each row
+    kept verbatim or replaced by the keyed random vector of its token.
+    RandomSecond replaces every row, ComplementSecond the rows whose token
+    is in first_vocab, MatchedSecond the rows whose token is not."""
+    replace = {
+        "RandomSecond": lambda w: True,
+        "ComplementSecond": lambda w: w in first_vocab,
+        "MatchedSecond": lambda w: w not in first_vocab,
+    }[kind]
+    mat = second.vectors.copy()
+    for i, w in enumerate(second.words):
+        if replace(w):
+            mat[i] = random_vector(backfill, second.name, w, second.dim)
+    return EmbeddingTable(second.name, second.words, mat)
+
+
+def merge_counts(parts: list[VocabCounts], split: str = "other") -> VocabCounts:
+    """Sum counts across datasets that share a normalization."""
+    if not parts:
+        raise ValueError("nothing to merge")
+    norms = {p.normalization for p in parts}
+    if len(norms) != 1:
+        raise ValueError(f"cannot merge counts with mixed normalizations {sorted(norms)}")
+    total: Counter[str] = Counter()
+    for p in parts:
+        total.update(p.counts)
+    return VocabCounts(dict(total), normalization=parts[0].normalization, split=split)
+
+
+def write_conll(dataset: TokenDataset, path) -> None:
+    """Two-column token/label file that read_conll parses back verbatim."""
+    for i, sent in enumerate(dataset.sentences):
+        for tok, lab in zip(sent.tokens, sent.labels):
+            for v in (tok, lab):
+                if not v or v.split() != [v]:
+                    raise DataError(
+                        f"sentence {i}: value {v!r} cannot be written to a column file"
+                    )
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for k, sent in enumerate(dataset.sentences):
+            if k:
+                f.write("\n")
+            for tok, lab in zip(sent.tokens, sent.labels):
+                f.write(f"{tok} {lab}\n")
 
 
 @pytest.fixture

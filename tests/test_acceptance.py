@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import ablated_reference, make_table, tables_equal
 from embcat.analysis import embedding_similarity, knn, pair_report
 from embcat.cli import main
-from embcat.combine import CombinePolicy, ModelVocab, combine, recommend, transform_second
+from embcat.combine import CombinePolicy, ModelVocab, combine, recommend
 from embcat.corpus import read_conll, vocab_counts
 from embcat.embio import (
     EmbeddingTable,
@@ -26,7 +26,6 @@ from embcat.embio import (
     RandomBackfill,
     random_vector,
     read_embeddings,
-    tables_equal,
     write_embeddings,
 )
 from embcat.manifest import file_sha256
@@ -230,26 +229,29 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
             second.words[i] for i in rng.choice(n, size=overlap_size, replace=False)
         )
         first_vocab |= {f"x{i}" for i in range(int(rng.integers(0, 4)))}
-        comp = transform_second(second, first_vocab, CombinePolicy("ComplementSecond"), backfill)
-        match = transform_second(second, first_vocab, CombinePolicy("MatchedSecond"), backfill)
-        rand = transform_second(second, first_vocab, CombinePolicy("RandomSecond"), backfill)
-        # size preservation
+        first = make_table("first", sorted(first_vocab), np.zeros((len(first_vocab), 2)))
+        vocab = ModelVocab(second.words, {w: 1 for w in second.words})
+        comp, match, rand = (
+            combine([first, second], vocab, CombinePolicy(kind), backfill).vectors[:, 2:]
+            for kind in ("ComplementSecond", "MatchedSecond", "RandomSecond")
+        )
+        # size preservation: one slice of the second table's width per token
         for t in (comp, match, rand):
-            assert t.words == second.words and t.dim == second.dim
+            assert t.shape == second.vectors.shape
         # partition: kept-pretrained sets are disjoint and cover the vocab
         kept_comp, kept_match = set(), set()
         for i, w in enumerate(second.words):
             pre = second.vectors[i]
             rnd = random_vector(backfill, "second", w, dim)
-            assert np.array_equal(rand.vectors[i], rnd)
-            if np.array_equal(comp.vectors[i], pre):
+            assert np.array_equal(rand[i], rnd)
+            if np.array_equal(comp[i], pre):
                 kept_comp.add(w)
             else:
-                assert np.array_equal(comp.vectors[i], rnd)
-            if np.array_equal(match.vectors[i], pre):
+                assert np.array_equal(comp[i], rnd)
+            if np.array_equal(match[i], pre):
                 kept_match.add(w)
             else:
-                assert np.array_equal(match.vectors[i], rnd)
+                assert np.array_equal(match[i], rnd)
         assert kept_comp & kept_match == set()
         assert kept_comp | kept_match == set(second.words)
         assert kept_match == set(second.words) & first_vocab
@@ -266,7 +268,7 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
         policy = CombinePolicy.parse(kind)
         out = combine([a, b], vocab, policy, backfill)
         assert out.dim == a.dim + b.dim
-        src_b = b if kind == "Concat" else transform_second(b, set(a.words), policy, backfill)
+        src_b = b if kind == "Concat" else ablated_reference(b, set(a.words), kind, backfill)
         for typ in types:
             row = out.row(typ)
             fa = row[: a.dim]

@@ -17,7 +17,6 @@ from embcat.analysis import (
     pair_report,
 )
 from embcat.corpus import Sentence, TokenDataset, VocabCounts, top_n_types, vocab_counts
-from embcat.embio import LookupPolicy
 from embcat.errors import DataError
 
 
@@ -228,7 +227,7 @@ def test_similarity_neighbor_normalization():
     b = make_table("B", ["q", "dog", "other"], vecs)
     rep = embedding_similarity(a, b, ["q"], k=1)
     assert rep.mean_jaccard_pct == 100.0
-    rep_exact = embedding_similarity(a, b, ["q"], k=1, policy=LookupPolicy(("exact",)))
+    rep_exact = embedding_similarity(a, b, ["q"], k=1, fold_case=False)
     assert rep_exact.mean_jaccard_pct == 0.0
 
 
@@ -299,7 +298,7 @@ def test_coverage_lookup_policy():
     t = make_table("t", ["the"], [[1.0]])
     rep = coverage(_counts({"The": 1}), t)
     assert rep.attested_pct == 100.0
-    rep = coverage(_counts({"The": 1}), t, LookupPolicy(("exact",)))
+    rep = coverage(_counts({"The": 1}), t, fold_case=False)
     assert rep.attested_pct == 0.0
 
 

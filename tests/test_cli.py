@@ -8,6 +8,7 @@ import pytest
 from conftest import make_table
 from embcat.cli import main
 from embcat.embio import Format, RandomBackfill, random_vector, read_embeddings, write_embeddings
+from embcat.manifest import file_sha256
 
 FIXTURE = "tests/fixtures/tiny.glove"
 
@@ -52,6 +53,8 @@ def test_info_fixture(capsys):
     assert man["seed"] == 1234
     assert len(man["input_sha256"]["emb"]) == 64
     assert "duration_s" not in man
+    assert man["options"]["normalize"] == "exact,lowercase"
+    assert "fold_case" not in man["options"]
 
 
 def test_info_named_emb(capsys):
@@ -84,6 +87,11 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "info", "--emb", FIXTURE, "--normalize", "exact,stem")
     assert code == 2 and "stem" in err
+    for spec in ("", "lowercase", "exact,exact", "lowercase,exact", "exact,lowercase,exact"):
+        code, _, err = run(capsys, "info", "--emb", FIXTURE, "--normalize", spec)
+        assert code == 2 and "--normalize" in err, spec
+    for spec in ("exact", " exact , lowercase ", "exact,,lowercase,"):
+        assert run(capsys, "info", "--emb", FIXTURE, "--normalize", spec)[0] == 0, spec
     code, _, _ = run(capsys, "info", "--emb", FIXTURE, "--threads", "0")
     assert code == 2
 
@@ -260,7 +268,19 @@ def test_combine_cli_with_sidecar(capsys, tmp_path, conll_file):
     assert sidecar["seed"] == 99
     assert sidecar["output_sha256"] == rep["output_sha256"]
     assert [s["name"] for s in sidecar["sources"]] == ["one", "two"]
-    assert all(len(s["sha256"]) == 64 for s in sidecar["sources"])
+    for src, path in zip(sidecar["sources"], (emb1, emb2)):
+        assert src["sha256"] == rep["manifest"]["input_sha256"][f"emb:{src['name']}"]
+        assert src["sha256"] == file_sha256(path)
+    assert sidecar["normalization"] == ["exact", "lowercase"]
+    assert sidecar["policy"] == {"kind": "Concat", "applies_to": None}
+    run_json(
+        capsys,
+        "combine",
+        "--emb", str(emb1), "--data", conll_file,
+        "--out", str(out), "--normalize", "exact", "--stable",
+    )
+    sidecar = json.loads((tmp_path / "combined.glove.manifest.json").read_text())
+    assert sidecar["normalization"] == ["exact"]
 
 
 def test_combine_cli_special_tokens(capsys, tmp_path, conll_file):
@@ -299,6 +319,20 @@ def test_combine_cli_policy(capsys, tmp_path, conll_file):
     assert np.array_equal(
         table.row("german")[2:], random_vector(RandomBackfill(4), "two", "german", 2)
     )
+
+
+def test_combine_cli_concat_rejects_applies_to(capsys, tmp_path, conll_file):
+    emb = tmp_path / "e.glove"
+    emb.write_text("eu 1 1\n")
+    out = tmp_path / "c.glove"
+    code, _, err = run(
+        capsys,
+        "combine",
+        "--emb", str(emb), "--emb", f"two={emb}", "--data", conll_file,
+        "--out", str(out), "--policy", "concat", "--applies-to", "3", "--stable",
+    )
+    assert code == 2 and "applies_to" in err
+    assert not out.exists()
 
 
 def test_recommend_cli(capsys, tmp_path, conll_file):

@@ -1,12 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table, random_table
+from conftest import ablated_reference, make_table, random_table
 from embcat import analysis
 from embcat.analysis import coverage, embedding_similarity
 from embcat.combine import (
+    COMBINE_KINDS,
     PAD_TOKEN,
     UNK_TOKEN,
     CombinePolicy,
@@ -15,7 +18,6 @@ from embcat.combine import (
     combine,
     model_vocab,
     recommend,
-    transform_second,
     with_special_tokens,
     zero_token_row,
 )
@@ -27,8 +29,11 @@ from embcat.corpus import (
     VocabCounts,
     top_n_types,
 )
-from embcat.embio import LookupPolicy, RandomBackfill, random_vector
+from embcat.embio import RandomBackfill, random_vector
 from embcat.errors import DataError
+
+# the package attribute embcat.combine is the combine function
+combine_module = importlib.import_module("embcat.combine")
 
 BF = RandomBackfill(20240817)
 
@@ -123,52 +128,51 @@ def test_model_vocab_validation():
 
 
 # ---------------------------------------------------------------------------
-# transform_second
+# ablation of the second table, on combine output
 
 
 def second_table():
     return make_table("second", ["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
 
 
+def ablated_slices(first_words, kind, second=None, bf=BF):
+    """The second table's slices of a two-table combine over its own
+    vocabulary, behind a first table over first_words."""
+    second = second_table() if second is None else second
+    first = make_table("first", first_words, np.zeros((len(first_words), 1)))
+    out = combine([first, second], mv(*second.words), CombinePolicy(kind), bf)
+    # size preservation: every token of the second table, at its width
+    assert out.words == second.words and out.dim == 1 + second.dim
+    return out.vectors[:, 1:]
+
+
 def test_transform_matched_full_overlap_is_identity():
-    t = second_table()
-    out = transform_second(t, {"a", "b", "c", "extra"}, CombinePolicy("MatchedSecond"), BF)
-    assert out.words == t.words and np.array_equal(out.vectors, t.vectors)
+    got = ablated_slices(["a", "b", "c", "extra"], "MatchedSecond")
+    assert np.array_equal(got, second_table().vectors)
 
 
 def test_transform_complement_full_overlap_all_random():
-    t = second_table()
-    out = transform_second(t, {"a", "b", "c"}, CombinePolicy("ComplementSecond"), BF)
-    for i, w in enumerate(t.words):
-        assert np.array_equal(out.vectors[i], random_vector(BF, "second", w, 2))
+    got = ablated_slices(["a", "b", "c"], "ComplementSecond")
+    for i, w in enumerate(second_table().words):
+        assert np.array_equal(got[i], random_vector(BF, "second", w, 2))
 
 
 def test_transform_random_second():
-    t = second_table()
-    out = transform_second(t, {"b"}, CombinePolicy("RandomSecond"), BF)
-    assert out.words == t.words and out.dim == t.dim
-    for i, w in enumerate(t.words):
-        assert np.array_equal(out.vectors[i], random_vector(BF, "second", w, 2))
+    got = ablated_slices(["b"], "RandomSecond")
+    for i, w in enumerate(second_table().words):
+        assert np.array_equal(got[i], random_vector(BF, "second", w, 2))
 
 
 def test_transform_partition():
     t = second_table()
-    comp = transform_second(t, {"b"}, CombinePolicy("ComplementSecond"), BF)
-    match = transform_second(t, {"b"}, CombinePolicy("MatchedSecond"), BF)
-    kept_comp = {w for i, w in enumerate(t.words) if np.array_equal(comp.vectors[i], t.vectors[i])}
-    kept_match = {w for i, w in enumerate(t.words) if np.array_equal(match.vectors[i], t.vectors[i])}
+    comp = ablated_slices(["b"], "ComplementSecond")
+    match = ablated_slices(["b"], "MatchedSecond")
+    kept_comp = {w for i, w in enumerate(t.words) if np.array_equal(comp[i], t.vectors[i])}
+    kept_match = {w for i, w in enumerate(t.words) if np.array_equal(match[i], t.vectors[i])}
     assert kept_comp == {"a", "c"}
     assert kept_match == {"b"}
     assert kept_comp | kept_match == set(t.words)
     assert not kept_comp & kept_match
-
-
-def test_transform_errors():
-    t = second_table()
-    with pytest.raises(ValueError):
-        transform_second(t, {"a"}, CombinePolicy("Concat"), BF)
-    with pytest.raises(ValueError):
-        transform_second(t, set(), CombinePolicy("MatchedSecond"), BF)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,19 +185,77 @@ def test_transform_partition_property(overlap, seed):
     words = ["w0", "w1", "w2", "w3", "w4"]
     t = make_table("s", words, rng.standard_normal((5, 3)).astype(np.float32))
     bf = RandomBackfill(seed)
-    comp = transform_second(t, overlap, CombinePolicy("ComplementSecond"), bf)
-    match = transform_second(t, overlap, CombinePolicy("MatchedSecond"), bf)
-    assert comp.words == match.words == t.words
-    assert comp.dim == match.dim == t.dim
+    comp = ablated_slices(sorted(overlap), "ComplementSecond", t, bf)
+    match = ablated_slices(sorted(overlap), "MatchedSecond", t, bf)
     for i, w in enumerate(words):
         pre = t.vectors[i]
         rnd = random_vector(bf, "s", w, 3)
         if w in overlap:
-            assert np.array_equal(comp.vectors[i], rnd)
-            assert np.array_equal(match.vectors[i], pre)
+            assert np.array_equal(comp[i], rnd)
+            assert np.array_equal(match[i], pre)
         else:
-            assert np.array_equal(comp.vectors[i], pre)
-            assert np.array_equal(match.vectors[i], rnd)
+            assert np.array_equal(comp[i], pre)
+            assert np.array_equal(match[i], rnd)
+
+
+def test_ablation_keys_replaced_rows_by_resolved_token():
+    # the type "The" resolves to the second table's row "the" by its
+    # lowercase step; the ablation asks whether that row's token is in the
+    # first vocabulary ({"The"}: it is not) and keys its draw by "the"
+    first = make_table("first", ["The"], [[1.0]])
+    second = make_table("second", ["the"], [[2.0, 3.0]])
+    vocab = mv("The", "the")
+    rnd = random_vector(BF, "second", "the", 2)
+    comp = combine([first, second], vocab, CombinePolicy("ComplementSecond"), BF)
+    assert np.array_equal(comp.vectors[:, 1:], [[2.0, 3.0], [2.0, 3.0]])
+    for kind in ("MatchedSecond", "RandomSecond"):
+        out = combine([first, second], vocab, CombinePolicy(kind), BF)
+        assert np.array_equal(out.vectors[:, 1:], [rnd, rnd])
+
+
+def _reference_combine(tables, types, policy, fold_case):
+    """Rows of a combine built the long way: rewrite the ablated table
+    whole, then look every type up in every table."""
+    if policy.kind != "Concat":
+        idx = policy.applies_to
+        first_vocab = set().union(*(t.words for t in tables[:idx]))
+        tables = list(tables)
+        tables[idx] = ablated_reference(tables[idx], first_vocab, policy.kind, BF)
+    rows = []
+    for typ in types:
+        parts = []
+        for t in tables:
+            i = t.index.get(typ)
+            if i is None and fold_case:
+                i = t.index.get(typ.lower())
+            parts.append(t.vectors[i] if i is not None else random_vector(BF, t.name, typ, t.dim))
+        rows.append(np.concatenate(parts))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_combine_ablations_match_whole_table_rewrite(monkeypatch, threads):
+    # several fill spans per call, cased types resolving to lowercase rows,
+    # and a third table so the first vocabulary is a union
+    rng = np.random.default_rng(41)
+    words = [f"w{i:02d}" for i in range(12)]
+    tables = [
+        make_table("A", words[:8] + ["The", "Dog"], rng.standard_normal((10, 3))),
+        make_table("B", words[4:] + ["the", "dog", "Cat"], rng.standard_normal((11, 2))),
+        make_table("C", words[::2] + ["the", "cat"], rng.standard_normal((8, 4))),
+    ]
+    types = ("The", "the", "Dog", "dog", "Cat", "CAT", "cat", "zz", *words)
+    vocab = mv(*types)
+    for fill_rows in (2, 3):
+        monkeypatch.setattr(combine_module, "_FILL_ROWS", fill_rows)
+        for kind in COMBINE_KINDS:
+            for idx in (None,) if kind == "Concat" else (1, 2):
+                policy = CombinePolicy(kind, idx)
+                for fold_case in (True, False):
+                    out = combine(tables, vocab, policy, BF, fold_case, threads=threads)
+                    want = _reference_combine(tables, types, policy, fold_case)
+                    assert out.words == types
+                    assert np.array_equal(out.vectors, want), (fill_rows, policy, fold_case)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +299,7 @@ def test_combine_lookup_policy_applies():
     t = make_table("low", ["the"], [[3.0]])
     out = combine([t], mv("The"), CombinePolicy(), BF)
     assert out.row("The")[0] == 3.0
-    out_exact = combine([t], mv("The"), CombinePolicy(), BF, LookupPolicy(("exact",)))
+    out_exact = combine([t], mv("The"), CombinePolicy(), BF, fold_case=False)
     assert np.array_equal(out_exact.row("The"), random_vector(BF, "low", "The", 1))
 
 
@@ -262,8 +324,7 @@ def test_combine_second_policy_end_to_end():
     first, second = two_tables()
     vocab = mv("a", "b", "c")
     out = combine([first, second], vocab, CombinePolicy("ComplementSecond"), BF)
-    # b is in first's vocab: second's contribution is randomized, and the
-    # randomization key is the same whether applied by transform or backfill
+    # b is in first's vocab: second's contribution is its keyed random vector
     assert np.array_equal(out.row("b")[3:], random_vector(BF, "second", "b", 2))
     # c is not in first's vocab: pretrained row kept
     assert np.array_equal(out.row("c")[3:], [7, 8])
@@ -288,7 +349,7 @@ def test_combine_projection_property():
     for kind in ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond"):
         policy = CombinePolicy.parse(kind)
         out = combine([a, b], vocab, policy, BF)
-        src_b = b if kind == "Concat" else transform_second(b, set(a.words), policy, BF)
+        src_b = b if kind == "Concat" else ablated_reference(b, set(a.words), kind, BF)
         for typ in vocab.types:
             row = out.row(typ)
             assert _is_lookup_or_backfill(row[:3], a, typ)
@@ -396,7 +457,6 @@ def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
         {"The": 99, "the": 98, **{w: 30 - i for i, w in enumerate(words)}}, split="train"
     )
     dev = VocabCounts({"w00": 3, "w29": 2}, split="dev")
-    policy = LookupPolicy()
     queries = top_n_types(counts, 12)
     verdicts = recommend(
         tables, counts, dev, tau_sim=12.0, tau_cov=50.0, k=4, n=12, threads=threads
@@ -405,17 +465,17 @@ def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
     by_name = {t.name: t for t in tables}
     for v in verdicts:
         a, b = by_name[v.embedding_a], by_name[v.embedding_b]
-        sim = embedding_similarity(a, b, queries, 4, policy, threads=threads)
-        cov_a = coverage(counts, a, policy).attested_pct
-        cov_b = coverage(counts, b, policy).attested_pct
+        sim = embedding_similarity(a, b, queries, 4, threads=threads)
+        cov_a = coverage(counts, a).attested_pct
+        cov_b = coverage(counts, b).attested_pct
         assert v == PairVerdict(
             embedding_a=a.name,
             embedding_b=b.name,
             overlap=sim.mean_jaccard_pct,
             attested_a=cov_a,
             attested_b=cov_b,
-            attested_dev_a=coverage(dev, a, policy).attested_pct,
-            attested_dev_b=coverage(dev, b, policy).attested_pct,
+            attested_dev_a=coverage(dev, a).attested_pct,
+            attested_dev_b=coverage(dev, b).attested_pct,
             min_attested=min(cov_a, cov_b),
             recommended=sim.mean_jaccard_pct < 12.0 and min(cov_a, cov_b) >= 50.0,
         )

@@ -2,18 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import merge_counts, write_conll
 from embcat.corpus import (
     Example,
     Sentence,
     TextDataset,
     TokenDataset,
     VocabCounts,
-    merge_counts,
     read_conll,
     read_labeled_text,
     top_n_types,
     vocab_counts,
-    write_conll,
 )
 from embcat.errors import DataError
 

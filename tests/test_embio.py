@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table, random_table
+from conftest import make_table, random_table, tables_equal
 from embcat.embio import (
     EmbeddingTable,
     Format,
-    LookupPolicy,
     RandomBackfill,
     detect_format,
     lookup,
     random_vector,
     read_embeddings,
     resolve_index,
-    tables_equal,
     write_embeddings,
 )
 from embcat.errors import DataError
@@ -75,22 +73,10 @@ def test_lookup_chain_order():
 
 def test_lookup_exact_only_policy():
     t = make_table("t", ["the"], [[1.0]])
-    assert lookup(t, "The", LookupPolicy(("exact",))) is None
-    assert resolve_index(t, "The", LookupPolicy()) == (0, "lowercase")
-
-
-def test_lookup_policy_validation():
-    with pytest.raises(ValueError):
-        LookupPolicy(())
-    with pytest.raises(ValueError):
-        LookupPolicy(("lowercase",))
-    with pytest.raises(ValueError):
-        LookupPolicy(("exact", "exact"))
-    with pytest.raises(ValueError):
-        LookupPolicy(("exact", "stem"))
-    assert LookupPolicy.parse("exact, lowercase").chain == ("exact", "lowercase")
-    assert LookupPolicy.parse("exact").normalize("Dog") == "Dog"
-    assert LookupPolicy().normalize("Dog") == "dog"
+    assert lookup(t, "The", fold_case=False) is None
+    assert resolve_index(t, "The", fold_case=False) is None
+    assert resolve_index(t, "the", fold_case=False) == (0, "exact")
+    assert resolve_index(t, "The") == (0, "lowercase")
 
 
 # ---------------------------------------------------------------------------
