@@ -47,10 +47,8 @@ from .tagschemes import (
     ScoreReport,
     bio_to_iobes,
     entity_prf,
-    example_accuracy,
     extract_entities,
     iob1_to_bio,
-    token_accuracy,
 )
 
 __all__ = [
@@ -77,7 +75,6 @@ __all__ = [
     "detect_format",
     "embedding_similarity",
     "entity_prf",
-    "example_accuracy",
     "extract_entities",
     "iob1_to_bio",
     "jaccard",
@@ -90,7 +87,6 @@ __all__ = [
     "read_embeddings",
     "read_labeled_text",
     "recommend",
-    "token_accuracy",
     "top_n_types",
     "vocab_counts",
     "write_embeddings",

@@ -143,18 +143,14 @@ def jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
-def _eligible_norms(table: EmbeddingTable) -> np.ndarray:
-    vec = table.vectors.astype(np.float64, copy=False)
-    return np.sqrt(np.einsum("ij,ij->i", vec, vec))
-
-
-def _chunk_candidates(table, norms, row_mask, lo, hi, q_mat, q_norms, q_rows, k):
+def _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k):
     """Exact per-chunk shortlist: every row tied with or above the chunk's
     k-th best similarity survives, so no global winner can be dropped."""
     chunk = table.vectors[lo:hi].astype(np.float64)
     sims = chunk @ q_mat  # (rows, queries)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sims /= norms[lo:hi, None]
+        # a row's norm does not depend on which other rows share the chunk
+        sims /= np.sqrt(np.einsum("ij,ij->i", chunk, chunk))[:, None]
         sims /= q_norms[None, :]
     sims[~np.isfinite(sims)] = -np.inf
     if row_mask is not None:
@@ -199,12 +195,12 @@ def _batch_topk(
     query rows are always excluded from their own results.
     """
     n = len(table)
-    norms = _eligible_norms(table)
-    q_mat = table.vectors[q_rows].astype(np.float64).T  # (dim, queries)
-    q_norms = norms[q_rows]
+    q_vec = table.vectors[q_rows].astype(np.float64)
+    q_norms = np.sqrt(np.einsum("ij,ij->i", q_vec, q_vec))
+    q_mat = q_vec.T  # (dim, queries)
 
     def work(lo, hi):
-        return _chunk_candidates(table, norms, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
+        return _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
 
     per_chunk = span_map(work, n, CHUNK_ROWS, threads)
 

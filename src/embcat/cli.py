@@ -28,9 +28,9 @@ from .combine import (
     with_special_tokens,
     zero_token_row,
 )
-from .corpus import SPLITS, read_conll, read_labeled_text, top_n_types, vocab_counts
+from .corpus import SPLITS, conll_blocks, read_conll, read_labeled_text, top_n_types, vocab_counts
 from .embio import Format, RandomBackfill, detect_format, read_embeddings, write_embeddings
-from .errors import DataError, utf8_input
+from .errors import DataError
 from .manifest import build_manifest, file_sha256
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
 
@@ -165,46 +165,24 @@ def _cmd_convert_tags(args, t0):
     src, dst = args.tags_from, args.tags_to
     if src == dst:
         raise ValueError(f"--from {src} --to {dst} is not a conversion")
+    col = args.label_column
     out_lines: list[str] = []
-    block: list[tuple[list[str], str]] = []  # (fields, original line)
     n_sent = 0
     n_changed = 0
-
-    def flush():
-        nonlocal n_sent, n_changed
-        if not block:
-            return
+    for block in conll_blocks(args.data, {"label": col}):
+        if isinstance(block, str):
+            out_lines.append(block)
+            continue
         n_sent += 1
-        labels = [fields[args.label_column] for fields, _ in block]
-        converted = _convert_labels(labels, src, dst, args.mode)
-        for (fields, _), new in zip(block, converted):
-            if fields[args.label_column] != new:
+        try:
+            converted = _convert_labels([f[col] for _, f in block], src, dst, args.mode)
+        except DataError as e:
+            raise DataError(f"{args.data}:{block[0][0]}: {e}") from None
+        for (_, fields), new in zip(block, converted):
+            if fields[col] != new:
                 n_changed += 1
-            fields = list(fields)
-            fields[args.label_column] = new
+                fields[col] = new
             out_lines.append(" ".join(fields))
-        block.clear()
-
-    with utf8_input(args.data), open(args.data, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                out_lines.append(line)
-                continue
-            fields = line.split()
-            if fields[0] == "-DOCSTART-":
-                flush()
-                out_lines.append(line)
-                continue
-            n = len(fields)
-            if not -n <= args.label_column < n:
-                raise DataError(
-                    f"{args.data}:{lineno}: label column {args.label_column} "
-                    f"out of range for {n}-field line"
-                )
-            block.append((fields, line))
-    flush()
     if n_sent == 0:
         raise DataError(f"{args.data}: no sentences")
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:

@@ -3,7 +3,8 @@
 Two dataset shapes: token-level (CoNLL column files, one token per line,
 blank line between sentences) and example-level (labeled text, one example
 per line). Both feed the same type-counting path used for coverage
-diagnostics and model-vocabulary construction.
+diagnostics and model-vocabulary construction. `conll_blocks` is the one
+reader of CoNLL files, behind both `read_conll` and `convert-tags`.
 """
 
 from __future__ import annotations
@@ -117,6 +118,35 @@ class VocabCounts:
         return len(self.counts)
 
 
+def conll_blocks(path, columns: dict[str, int]):
+    """The one reader of CoNLL column files: yields each sentence as a list
+    of (line number, whitespace-split fields) and each separator line
+    (blank, whitespace-only or -DOCSTART-) as its text without the newline.
+    Every sentence line must hold each column in `columns` (name -> index;
+    negative indices count from the right)."""
+    need = max(c + 1 if c >= 0 else -c for c in columns.values())
+    block: list[tuple[int, list[str]]] = []
+    with utf8_input(path), open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, 1):
+            fields = raw.split()
+            if not fields or fields[0] == "-DOCSTART-":
+                if block:
+                    yield block
+                    block = []
+                yield raw.rstrip("\n")
+            elif len(fields) < need:
+                n = len(fields)
+                which, col = next((w, c) for w, c in columns.items() if not -n <= c < n)
+                raise DataError(
+                    f"{path}:{lineno}: {which} column {col} out of range "
+                    f"for {n}-field line {raw.strip()!r}"
+                )
+            else:
+                block.append((lineno, fields))
+    if block:
+        yield block
+
+
 def read_conll(
     path,
     *,
@@ -124,43 +154,14 @@ def read_conll(
     label_column: int = -1,
     split: str = "other",
 ) -> TokenDataset:
-    """Read a CoNLL-style column file.
-
-    Blank lines separate sentences; lines starting with -DOCSTART- are
-    document markers and are skipped together with their sentence break.
-    Columns are whitespace-separated; negative column indices count from
-    the right, as in ordinary sequence indexing.
-    """
-    sentences: list[Sentence] = []
-    tokens: list[str] = []
-    labels: list[str] = []
-
-    def flush():
-        if tokens:
-            sentences.append(Sentence(tuple(tokens), tuple(labels)))
-            tokens.clear()
-            labels.clear()
-
-    with utf8_input(path), open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                flush()
-                continue
-            fields = line.split()
-            if fields[0] == "-DOCSTART-":
-                flush()
-                continue
-            n = len(fields)
-            for which, col in (("token", token_column), ("label", label_column)):
-                if not -n <= col < n:
-                    raise DataError(
-                        f"{path}:{lineno}: {which} column {col} out of range "
-                        f"for {n}-field line {line!r}"
-                    )
-            tokens.append(fields[token_column])
-            labels.append(fields[label_column])
-    flush()
+    """Read a CoNLL-style column file into its sentences (`conll_blocks`);
+    document markers and their sentence breaks are skipped."""
+    sentences = []
+    for block in conll_blocks(path, {"token": token_column, "label": label_column}):
+        if isinstance(block, list):
+            tokens = tuple([fields[token_column] for _, fields in block])
+            labels = tuple([fields[label_column] for _, fields in block])
+            sentences.append(Sentence(tokens, labels))
     if not sentences:
         raise DataError(f"{path}: no sentences")
     return TokenDataset(tuple(sentences), split=split)

@@ -17,6 +17,7 @@ Values are stored at single precision, which is what both formats carry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import mmap
@@ -59,6 +60,21 @@ class RandomBackfill:
             raise ValueError(f"seed {self.seed} does not fit in 64 bits")
         if not self.low < self.high:
             raise ValueError(f"need low < high, got [{self.low}, {self.high})")
+        lo, hi = _float32_range(self.low, self.high)
+        if lo > hi:
+            raise ValueError(f"no float32 value lies in [{self.low}, {self.high})")
+
+
+@functools.lru_cache(maxsize=None)
+def _float32_range(low: float, high: float) -> tuple[np.float32, np.float32]:
+    """The least and the greatest float32 values inside [low, high)."""
+    lo = np.float32(low)
+    if float(lo) < low:
+        lo = np.nextafter(lo, np.float32(np.inf))
+    hi = np.float32(high)
+    if float(hi) >= high:
+        hi = np.nextafter(hi, np.float32(-np.inf))
+    return lo, hi
 
 
 def random_vector(backfill: RandomBackfill, table_name: str, token: str, dim: int) -> np.ndarray:
@@ -76,7 +92,10 @@ def random_vector(backfill: RandomBackfill, table_name: str, token: str, dim: in
     h.update(name_b)
     h.update(token.encode("utf-8"))
     rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-    return rng.uniform(backfill.low, backfill.high, dim).astype(np.float32)
+    vec = rng.uniform(backfill.low, backfill.high, dim).astype(np.float32)
+    # the cast rounds draws within half a float32 step of an end onto or
+    # past it; clamping moves only those values
+    return vec.clip(*_float32_range(backfill.low, backfill.high), out=vec)
 
 
 @dataclass
@@ -226,26 +245,30 @@ def read_embeddings(
     fmt: Format | None = None,
     *,
     name: str | None = None,
-    keep_first: bool = True,
     strict: bool = False,
 ) -> EmbeddingTable:
     """Parse an embedding file into a validated table.
 
     Row order follows file order. Duplicate tokens are resolved keep-first
-    (counted on the table) unless keep_first=False, which makes them an
-    error. strict=True turns header/vocabulary-count mismatches and ragged
-    text lines into errors instead of warnings.
+    and counted on the table. strict=True turns header/vocabulary-count
+    mismatches and ragged text lines into errors instead of warnings.
     """
     if fmt is None:
         fmt = detect_format(path)
     if name is None:
         name = Path(path).stem or str(path)
     if fmt is Format.WORD2VEC_BINARY:
-        return _read_w2v_binary(path, name, keep_first, strict)
-    return _read_glove_text(path, name, fmt is Format.GLOVE_TEXT_HEADER, keep_first, strict)
+        return _read_w2v_binary(path, name, strict)
+    return _read_glove_text(path, name, fmt is Format.GLOVE_TEXT_HEADER, strict)
 
 
-def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -> EmbeddingTable:
+def _preallocate(rows: int, dim: int) -> np.ndarray:
+    # with room for no row none is ever stored, and a header dim too large
+    # for any allocation must not reach the shape
+    return np.empty((rows, dim if rows else 0), np.float32)
+
+
+def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
     words: list[str] = []
     index: dict[str, int] = {}
     dups = 0
@@ -268,7 +291,7 @@ def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -
                 # with no room for one, no record can parse and none is
                 # ever stored
                 fits = os.fstat(f.fileno()).st_size // (2 * dim + 1)
-                mat = np.empty((min(max(declared, 1), fits), dim), np.float32)
+                mat = _preallocate(min(max(declared, 1), fits), dim)
                 continue
             if not line:
                 raise DataError(f"{path}:{lineno}: blank line inside embedding file")
@@ -301,8 +324,6 @@ def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -
             if not np.isfinite(vec).all():
                 raise DataError(f"{path}:{lineno}: non-finite value for token {token!r}")
             if token in index:
-                if not keep_first:
-                    raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
                 dups += 1
                 continue
             if n == mat.shape[0]:
@@ -325,7 +346,9 @@ def _read_glove_text(path, name, header: bool, keep_first: bool, strict: bool) -
     return EmbeddingTable(name, tuple(words), mat[:n].copy(), n_duplicates=dups)
 
 
-def _read_w2v_binary(path, name, keep_first: bool, strict: bool) -> EmbeddingTable:
+def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
+    if os.path.getsize(path) == 0:
+        raise DataError(f"{path}: empty file")
     with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
         size = mm.size()
         nl = mm.find(b"\n", 0, 128)
@@ -344,7 +367,7 @@ def _read_w2v_binary(path, name, keep_first: bool, strict: bool) -> EmbeddingTab
         # preallocate no more rows than the file can hold: each record is
         # at least a token byte, a space and dim float32 values
         fits = (size - nl - 1) // (rec_bytes + 2)
-        mat = np.empty((min(declared, fits), dim), np.float32)
+        mat = _preallocate(min(declared, fits), dim)
         n = 0
         pos = nl + 1
         read_recs = 0
@@ -370,8 +393,6 @@ def _read_w2v_binary(path, name, keep_first: bool, strict: bool) -> EmbeddingTab
                 raise DataError(f"{path}: record for token {token!r} truncated")
             read_recs += 1
             if token in index:
-                if not keep_first:
-                    raise DataError(f"{path}: duplicate token {token!r}")
                 dups += 1
                 pos = end
                 continue

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .errors import DataError
 
-SCHEMES = ("iob1", "bio", "iobes")
-
 _PREFIXES = frozenset("OBIES")
 
 
@@ -86,23 +84,13 @@ def _chunk_end(prev: str, prev_t, cur: str, cur_t) -> bool:
 
 
 def iob1_to_bio(labels: list[str]) -> list[str]:
-    """Rewrite entity-initial I-X tags as B-X.
+    """Rewrite span-opening I-X tags as B-X.
 
     IOB1 only uses B-X to separate adjacent same-type spans; every I-X that
-    opens a span becomes B-X so the output is valid BIO.
+    opens a span becomes B-X so the output is valid BIO. This is exactly
+    the lenient BIO repair.
     """
-    out = []
-    prev_p, prev_t = "O", None
-    for tag in labels:
-        p, t = split_tag(tag)
-        if p not in ("O", "B", "I"):
-            raise DataError(f"tag {tag!r} is not an IOB1 tag")
-        if p == "I" and (prev_p == "O" or prev_t != t):
-            out.append(f"B-{t}")
-        else:
-            out.append(tag)
-        prev_p, prev_t = p, t
-    return out
+    return _repair_bio(labels, "lenient")
 
 
 def bio_to_iobes(labels: list[str], mode: str = "lenient") -> list[str]:
@@ -222,27 +210,3 @@ def entity_prf(gold: list[list[str]], pred: list[list[str]], mode: str = "lenien
         n_pred += len(pe)
         n_correct += len(ge & pe)
     return ScoreReport.from_counts(n_gold, n_pred, n_correct)
-
-
-def token_accuracy(gold: list[list[str]], pred: list[list[str]]) -> float:
-    """Fraction of positions whose tags agree."""
-    if len(gold) != len(pred):
-        raise DataError(f"{len(gold)} gold sentences but {len(pred)} predicted")
-    total = correct = 0
-    for si, (g, p) in enumerate(zip(gold, pred)):
-        if len(g) != len(p):
-            raise DataError(f"sentence {si}: {len(g)} gold tags but {len(p)} predicted")
-        total += len(g)
-        correct += sum(a == b for a, b in zip(g, p))
-    if total == 0:
-        raise DataError("no tokens to score")
-    return correct / total
-
-
-def example_accuracy(gold: list[str], pred: list[str]) -> float:
-    """Fraction of examples whose labels agree."""
-    if len(gold) != len(pred):
-        raise DataError(f"{len(gold)} gold labels but {len(pred)} predicted")
-    if not gold:
-        raise DataError("no examples to score")
-    return sum(a == b for a, b in zip(gold, pred)) / len(gold)

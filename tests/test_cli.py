@@ -117,6 +117,14 @@ def test_non_utf8_inputs_exit_1(capsys, tmp_path):
     assert code == 1 and f"{bad}:1: not valid UTF-8" in err
 
 
+def test_empty_w2v_file_exits_1(capsys, tmp_path):
+    emb = tmp_path / "empty.bin"
+    emb.write_bytes(b"")
+    for fmt in ([], ["--emb-format", "w2v"]):
+        code, _, err = run(capsys, "info", "--emb", str(emb), *fmt)
+        assert code == 1 and f"{emb}: empty file" in err
+
+
 def test_impossible_header_count_exits_1_when_strict(capsys, tmp_path):
     emb = tmp_path / "huge.bin"
     emb.write_bytes(b"99999999999 2\na " + np.zeros(2, "<f4").tobytes() + b"\n")
@@ -172,6 +180,62 @@ def test_convert_tags_iob1_to_iobes(capsys, tmp_path):
     )
     assert "EU S-ORG" in out.read_text()
     assert rep["from"] == "iob1" and rep["to"] == "iobes"
+
+
+# golden bytes over -DOCSTART- lines, whitespace-only and repeated blank
+# lines, CRLF line ends, leading spaces and tabs: separators are written
+# back verbatim, sentence lines re-joined with single spaces
+TAGS_IN = (
+    b"-DOCSTART- -X- O\r\n\nEU NNP I-ORG\nrejects VBZ O\nGerman JJ I-MISC\ncall NN O\n"
+    b" \t \n\n  Peter NNP I-PER\r\nBlackburn\tNNP\tI-PER\nSmith NNP B-PER\nJones NNP I-PER\n"
+    b"Paris NNP I-LOC\n\n\n   -DOCSTART- -X- O\nLondon NNP I-LOC\nBonn NNP B-LOC\nin IN O\n   "
+)
+_IOBES_OUT = (
+    b"-DOCSTART- -X- O\n\nEU NNP S-ORG\nrejects VBZ O\nGerman JJ S-MISC\ncall NN O\n"
+    b" \t \n\nPeter NNP B-PER\nBlackburn NNP E-PER\nSmith NNP B-PER\nJones NNP E-PER\n"
+    b"Paris NNP S-LOC\n\n\n   -DOCSTART- -X- O\nLondon NNP S-LOC\nBonn NNP S-LOC\nin IN O\n   \n"
+)
+TAGS_OUT = {
+    ("iob1", "bio"): (
+        5,
+        b"-DOCSTART- -X- O\n\nEU NNP B-ORG\nrejects VBZ O\nGerman JJ B-MISC\ncall NN O\n"
+        b" \t \n\nPeter NNP B-PER\nBlackburn NNP I-PER\nSmith NNP B-PER\nJones NNP I-PER\n"
+        b"Paris NNP B-LOC\n\n\n   -DOCSTART- -X- O\nLondon NNP B-LOC\nBonn NNP B-LOC\nin IN O\n   \n",
+    ),
+    ("iob1", "iobes"): (8, _IOBES_OUT),
+    ("bio", "iobes"): (8, _IOBES_OUT),
+}
+
+
+@pytest.mark.parametrize("src, dst", sorted(TAGS_OUT))
+def test_convert_tags_golden_bytes(capsys, tmp_path, src, dst):
+    data = tmp_path / "in.conll"
+    data.write_bytes(TAGS_IN)
+    out = tmp_path / "out.conll"
+    rep = run_json(
+        capsys, "convert-tags", "--data", str(data), "--out", str(out),
+        "--from", src, "--to", dst, "--stable",
+    )
+    n_changed, expected = TAGS_OUT[src, dst]
+    assert out.read_bytes() == expected
+    assert rep["n_sentences"] == 3 and rep["n_tags_changed"] == n_changed
+    assert rep["output_sha256"] == file_sha256(out)
+
+
+def test_convert_tags_malformed_tag_names_file_line(capsys, tmp_path):
+    data = tmp_path / "bad.conll"
+    data.write_text("a O\n\nb B-PER\nc X-PER\n")
+    code, _, err = run(
+        capsys, "convert-tags", "--data", str(data), "--out", str(tmp_path / "o"),
+        "--from", "bio", "--to", "iobes",
+    )
+    assert code == 1 and f"{data}:3: malformed tag 'X-PER'" in err
+    data.write_text("a O\nb\n")
+    code, _, err = run(
+        capsys, "convert-tags", "--data", str(data), "--out", str(tmp_path / "o"),
+        "--from", "bio", "--to", "iobes", "--label-column", "1",
+    )
+    assert code == 1 and f"{data}:2: label column 1 out of range" in err
 
 
 def test_convert_tags_rejects_noop(capsys, tmp_path):

@@ -9,6 +9,7 @@ from embcat.corpus import (
     TextDataset,
     TokenDataset,
     VocabCounts,
+    conll_blocks,
     read_conll,
     read_labeled_text,
     top_n_types,
@@ -55,6 +56,29 @@ def test_read_conll_column_out_of_range(tmp_path):
         read_conll(p, label_column=5)
     with pytest.raises(DataError):
         read_conll(p, token_column=-3)
+
+
+def test_conll_blocks_yields_sentences_and_separators(tmp_path):
+    p = tmp_path / "b.conll"
+    p.write_bytes(b"-DOCSTART- -X- O\r\n\nEU B-ORG\n  rejects\tO\n \t \n\n  -DOCSTART- O\nx O")
+    assert list(conll_blocks(p, {"label": -1})) == [
+        "-DOCSTART- -X- O",
+        "",
+        [(3, ["EU", "B-ORG"]), (4, ["rejects", "O"])],
+        " \t ",
+        "",
+        "  -DOCSTART- O",
+        [(8, ["x", "O"])],
+    ]
+
+
+def test_conll_blocks_names_the_first_missing_column(tmp_path):
+    p = tmp_path / "c.conll"
+    p.write_text("a b O\n\nc O\n")
+    with pytest.raises(DataError, match=r"c\.conll:3: label column 2 out of range for 2-field line 'c O'"):
+        list(conll_blocks(p, {"token": 0, "label": 2}))
+    with pytest.raises(DataError, match=r"c\.conll:3: token column -3 out of range"):
+        list(conll_blocks(p, {"token": -3, "label": 2}))
 
 
 @pytest.mark.parametrize("reader", [read_conll, read_labeled_text])

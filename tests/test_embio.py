@@ -8,6 +8,7 @@ from embcat.embio import (
     EmbeddingTable,
     Format,
     RandomBackfill,
+    _float32_range,
     detect_format,
     lookup,
     random_vector,
@@ -109,11 +110,36 @@ def test_random_vector_bounds():
     assert v.min() >= -0.25 and v.max() < 0.25
 
 
+def test_random_vector_never_reaches_high():
+    # a float64 draw within 2**-27 of 0.25 rounds onto 0.25 in float32;
+    # this key draws one, and the value is clamped to the float32 below
+    v = random_vector(RandomBackfill(1234), "S", "xuhaaous", 50)
+    assert v.max() == np.nextafter(np.float32(0.25), np.float32(0))
+    assert v.min() >= -0.25
+
+
+@pytest.mark.parametrize(
+    "low, high", [(-0.25, 0.25), (-0.1, 0.1), (0.1, 0.3), (-1 / 3, 2 / 3), (1e-3, 2e-3), (-5.0, -0.7)]
+)
+def test_backfill_float32_range_is_inside_the_bounds(low, high):
+    lo, hi = _float32_range(low, high)
+    assert lo.dtype == hi.dtype == np.float32
+    # the least float32 >= low and the greatest float32 < high
+    assert low <= float(lo) and float(np.nextafter(lo, np.float32(-np.inf))) < low
+    assert float(hi) < high and float(np.nextafter(hi, np.float32(np.inf))) >= high
+    bf = RandomBackfill(3, low=low, high=high)
+    v = random_vector(bf, "t", "w", 4096).astype(np.float64)
+    assert v.min() >= low and v.max() < high
+
+
 def test_backfill_validation():
     with pytest.raises(ValueError):
         RandomBackfill(2**64)
     with pytest.raises(ValueError):
         RandomBackfill(1, low=0.5, high=0.5)
+    # no float32 value lies in [0.1, next double above 0.1)
+    with pytest.raises(ValueError, match="no float32"):
+        RandomBackfill(1, low=0.1, high=float(np.nextafter(0.1, 1.0)))
     with pytest.raises(ValueError):
         random_vector(RandomBackfill(1), "t", "w", 0)
 
@@ -160,8 +186,6 @@ def test_read_keep_first_duplicates(tmp_path):
     t = read_embeddings(p)
     assert t.words == ("a",) and t.n_duplicates == 1
     assert np.array_equal(t.vectors, [[1, 0]])
-    with pytest.raises(DataError):
-        read_embeddings(p, keep_first=False)
 
 
 def test_read_ragged_line(tmp_path):
@@ -218,8 +242,46 @@ def test_read_not_utf8_names_line(tmp_path):
 def test_read_empty_file(tmp_path):
     p = tmp_path / "empty.glove"
     p.write_text("")
+    for fmt in (None, *Format):
+        with pytest.raises(DataError, match="empty.glove: "):
+            read_embeddings(p, fmt)
+
+
+@pytest.mark.parametrize("fmt", [Format.GLOVE_TEXT_HEADER, Format.WORD2VEC_BINARY])
+def test_header_dim_too_large_for_any_array(tmp_path, fmt):
+    # 2**61 float32 columns overflow the allocator even for zero rows
+    p = tmp_path / "huge"
+    p.write_bytes(b"1 2305843009213693952\n")
     with pytest.raises(DataError):
-        read_embeddings(p, Format.GLOVE_TEXT)
+        read_embeddings(p, fmt)
+
+
+_header_st = st.builds(
+    lambda vocab, dim, sep, tail: b"%d %d" % (vocab, dim) + sep + tail,
+    st.integers(0, 10**30),
+    st.integers(0, 10**30),
+    st.sampled_from([b"\n", b"\r\n", b" \n"]),
+    st.binary(max_size=64),
+)
+_text_st = st.lists(
+    st.text(alphabet=" 0123456789.e-+abnifx\n\r\t\x00", max_size=20), max_size=6
+).map(lambda lines: "\n".join(lines).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(st.binary(max_size=256), _header_st, _text_st),
+    fmt=st.sampled_from([None, *Format]),
+    strict=st.booleans(),
+)
+def test_read_arbitrary_bytes_gives_a_table_or_a_data_error(tmp_path_factory, data, fmt, strict):
+    p = tmp_path_factory.mktemp("fuzz") / "table"
+    p.write_bytes(data)
+    try:
+        table = read_embeddings(p, fmt, strict=strict)
+    except DataError:
+        return
+    assert isinstance(table, EmbeddingTable) and len(table) >= 1
 
 
 def test_nbsp_token_preserved(tmp_path):

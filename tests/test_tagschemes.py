@@ -8,11 +8,9 @@ from embcat.tagschemes import (
     ScoreReport,
     bio_to_iobes,
     entity_prf,
-    example_accuracy,
     extract_entities,
     iob1_to_bio,
     split_tag,
-    token_accuracy,
 )
 from scoring_fixture import CASES, TOTAL_GOLD, TOTAL_PRED, TOTAL_TP
 
@@ -181,15 +179,6 @@ def test_entity_prf_counts_per_sentence():
     # same tags in different sentences must not match each other
     report = entity_prf([["S-X"], ["O"]], [["O"], ["S-X"]])
     assert report.n_correct == 0 and report.n_gold == 1 and report.n_pred == 1
-
-
-def test_token_and_example_accuracy():
-    assert token_accuracy([["O", "B-X"]], [["O", "O"]]) == 0.5
-    assert example_accuracy(["a", "b", "c"], ["a", "b", "x"]) == pytest.approx(2 / 3)
-    with pytest.raises(DataError):
-        token_accuracy([], [])
-    with pytest.raises(DataError):
-        example_accuracy(["a"], [])
 
 
 # ---------------------------------------------------------------------------
