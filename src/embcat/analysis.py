@@ -7,11 +7,12 @@ sets of frequent words, each table searched in its own space).
 
 k-NN here is exact brute force. Similarities are computed in double
 precision over fixed-size vocabulary chunks, so results are identical for
-any thread count; ties are broken token-ascending. `pair_report` and
-`pairwise_similarity` (behind `recommend`) search each table once, over
-the union of the query rows that resolve in it, and score every pair and
-split as Jaccard over those cached neighbor sets; only `shared_vocab_only`,
-whose candidate rows depend on the pair, searches per pair.
+any thread count; ties are broken token-ascending. One engine,
+`pairwise_similarity`, answers every overlap question (`embedding_similarity`,
+`pair_report`, and `recommend`): it resolves each query once per table,
+searches each table once over the distinct rows of every query that
+resolves in it, and scores every pair of every query list as Jaccard over
+those cached neighbor sets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -237,90 +237,71 @@ def _shared_mask(table: EmbeddingTable, other: EmbeddingTable, fold_case: bool) 
     return mask
 
 
-class _PairQueries(NamedTuple):
-    """Queries of one table pair, resolved to a row in each table."""
-
-    requested: int
-    used: list[str]
-    rows_a: list[int]
-    rows_b: list[int]
-    skipped: list[tuple[str, str]]
-
-
-def _resolve_pair(
-    table_a: EmbeddingTable,
-    table_b: EmbeddingTable,
-    queries: list[str],
-    k: int,
-    fold_case: bool,
-) -> _PairQueries:
-    """Check k against both tables and resolve each query in both; a query
-    that is a duplicate or missing from either table is skipped with a
-    reason. Raises when no query is left."""
-    for t in (table_a, table_b):
-        if not 1 <= k <= len(t) - 1:
-            raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
-
-    used: list[str] = []
-    rows_a: list[int] = []
-    rows_b: list[int] = []
-    skipped: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for q in queries:
-        if q in seen:
-            skipped.append((q, "duplicate query"))
-            continue
-        seen.add(q)
-        ha = resolve_index(table_a, q, fold_case)
-        hb = resolve_index(table_b, q, fold_case)
-        if ha is None and hb is None:
-            skipped.append((q, f"not in {table_a.name} or {table_b.name}"))
-        elif ha is None:
-            skipped.append((q, f"not in {table_a.name}"))
-        elif hb is None:
-            skipped.append((q, f"not in {table_b.name}"))
-        else:
-            used.append(q)
-            rows_a.append(ha[0])
-            rows_b.append(hb[0])
-    if not used:
-        raise DataError("no shared queries")
-    return _PairQueries(len(queries), used, rows_a, rows_b, skipped)
-
-
-def _neighbor_sets(
-    table: EmbeddingTable,
-    rows: list[int],
-    k: int,
-    fold_case: bool,
+def pairwise_similarity(
+    tables: list[EmbeddingTable],
+    query_lists: list[list[str]],
+    k: int = 10,
+    fold_case: bool = True,
     *,
-    row_mask: np.ndarray | None = None,
+    masks: list[np.ndarray | None] | None = None,
     threads: int = 1,
-) -> dict[int, set[str]]:
-    """k-NN token set of each distinct query row, lowercased when
-    fold_case, from one search over all of them (first-appearance order)."""
-    distinct = list(dict.fromkeys(rows))
-    tops = _batch_topk(table, distinct, k, row_mask=row_mask, threads=threads)
+) -> list[dict[tuple[int, int], SimilarityReport]]:
+    """Mean Jaccard overlap of every pair (i, j), i < j, of the tables, per
+    query list: one {(i, j): SimilarityReport} dict per list, in pair order.
+
+    Each query is resolved once per table, and each table searched once,
+    over the distinct rows of every query that resolves in it (list by
+    list, in query order); `masks[i]`, when given, limits table i's
+    candidate rows. Before any search, each list and then each pair is
+    checked: k against both tables, then every query, which is skipped
+    with a reason when it is a duplicate or missing from either table.
+    Raises when a pair is left with no query.
+    """
+    hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
+    pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]
+    checked = []  # (list index, i, j, used queries, skipped queries)
+    for li, queries in enumerate(query_lists):
+        for i, j in pairs:
+            for t in (tables[i], tables[j]):
+                if not 1 <= k <= len(t) - 1:
+                    raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
+            used: list[str] = []
+            skipped: list[tuple[str, str]] = []
+            seen: set[str] = set()
+            for q in queries:
+                missing = [tables[x].name for x in (i, j) if hits[x][q] is None]
+                if q in seen:
+                    skipped.append((q, "duplicate query"))
+                elif missing:
+                    skipped.append((q, "not in " + " or ".join(missing)))
+                else:
+                    used.append(q)
+                seen.add(q)
+            if not used:
+                raise DataError("no shared queries")
+            checked.append((li, i, j, used, skipped))
+
     fold = str.lower if fold_case else str
-    return {r: {fold(t) for t, _ in top} for r, top in zip(distinct, tops)}
+    sets = []
+    for t, hit, mask in zip(tables, hits, masks or [None] * len(tables)):
+        resolved = (hit[q] for qs in query_lists for q in qs)
+        rows = list(dict.fromkeys(h[0] for h in resolved if h is not None))
+        tops = _batch_topk(t, rows, k, row_mask=mask, threads=threads)
+        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(rows, tops)})
 
-
-def _similarity_report(
-    pq: _PairQueries, sets_a: dict[int, set[str]], sets_b: dict[int, set[str]], k: int
-) -> SimilarityReport:
-    per_query: dict[str, float] = {}
-    for q, ra, rb in zip(pq.used, pq.rows_a, pq.rows_b):
-        per_query[q] = jaccard(sets_a[ra], sets_b[rb])
-    mean_pct = 100.0 * sum(per_query.values()) / len(per_query)
-    return SimilarityReport(
-        mean_jaccard_pct=mean_pct,
-        per_query=per_query,
-        k=k,
-        n_requested=pq.requested,
-        n_used=len(pq.used),
-        n_skipped=len(pq.skipped),
-        skipped=tuple(pq.skipped),
-    )
+    reports: list[dict[tuple[int, int], SimilarityReport]] = [{} for _ in query_lists]
+    for li, i, j, used, skipped in checked:
+        per_query = {q: jaccard(sets[i][hits[i][q][0]], sets[j][hits[j][q][0]]) for q in used}
+        reports[li][i, j] = SimilarityReport(
+            mean_jaccard_pct=100.0 * sum(per_query.values()) / len(per_query),
+            per_query=per_query,
+            k=k,
+            n_requested=len(query_lists[li]),
+            n_used=len(used),
+            n_skipped=len(skipped),
+            skipped=tuple(skipped),
+        )
+    return reports
 
 
 def embedding_similarity(
@@ -342,36 +323,12 @@ def embedding_similarity(
     restricts candidates to tokens resolvable in the other table. Neighbor
     tokens are lowercased, when fold_case, before the sets are compared.
     """
-    pq = _resolve_pair(table_a, table_b, queries, k, fold_case)
     mask_a = _shared_mask(table_a, table_b, fold_case) if shared_vocab_only else None
     mask_b = _shared_mask(table_b, table_a, fold_case) if shared_vocab_only else None
-    sets_a = _neighbor_sets(table_a, pq.rows_a, k, fold_case, row_mask=mask_a, threads=threads)
-    sets_b = _neighbor_sets(table_b, pq.rows_b, k, fold_case, row_mask=mask_b, threads=threads)
-    return _similarity_report(pq, sets_a, sets_b, k)
-
-
-def pairwise_similarity(
-    tables: list[EmbeddingTable],
-    queries: list[str],
-    k: int = 10,
-    fold_case: bool = True,
-    *,
-    threads: int = 1,
-) -> dict[tuple[int, int], SimilarityReport]:
-    """`embedding_similarity` of every pair (i, j), i < j, of the tables,
-    keyed by their indices in pair order. Each table is searched once,
-    over every query that resolves in it."""
-    pairs = {
-        (i, j): _resolve_pair(tables[i], tables[j], queries, k, fold_case)
-        for i in range(len(tables))
-        for j in range(i + 1, len(tables))
-    }
-    sets = []
-    for t in tables:
-        hits = (resolve_index(t, q, fold_case) for q in queries)
-        rows = [hit[0] for hit in hits if hit is not None]
-        sets.append(_neighbor_sets(t, rows, k, fold_case, threads=threads))
-    return {(i, j): _similarity_report(pq, sets[i], sets[j], k) for (i, j), pq in pairs.items()}
+    sims = pairwise_similarity(
+        [table_a, table_b], [queries], k, fold_case, masks=[mask_a, mask_b], threads=threads
+    )
+    return sims[0][0, 1]
 
 
 def coverage(
@@ -410,25 +367,17 @@ def pair_report(
     """One diagnostic row for a candidate pair: neighborhood overlap of the
     two tables, and the second table's coverage, per split. Each table is
     searched once, over the train then the dev queries."""
-    splits = {}
-    for split_name, counts in (("train", train), ("dev", dev)):
-        pq = _resolve_pair(table_a, table_b, top_n_types(counts, n), k, fold_case)
-        splits[split_name] = (pq, coverage(counts, table_b, fold_case).attested_pct)
-    rows_a = [r for pq, _ in splits.values() for r in pq.rows_a]
-    rows_b = [r for pq, _ in splits.values() for r in pq.rows_b]
-    sets_a = _neighbor_sets(table_a, rows_a, k, fold_case, threads=threads)
-    sets_b = _neighbor_sets(table_b, rows_b, k, fold_case, threads=threads)
-    overlap = {
-        name: _similarity_report(pq, sets_a, sets_b, k).mean_jaccard_pct
-        for name, (pq, _) in splits.items()
-    }
+    queries = [top_n_types(train, n), top_n_types(dev, n)]
+    sim_train, sim_dev = pairwise_similarity(
+        [table_a, table_b], queries, k, fold_case, threads=threads
+    )
     return PairReport(
         embedding_a=table_a.name,
         embedding_b=table_b.name,
-        overlap_train=overlap["train"],
-        overlap_dev=overlap["dev"],
-        attested_train=splits["train"][1],
-        attested_dev=splits["dev"][1],
+        overlap_train=sim_train[0, 1].mean_jaccard_pct,
+        overlap_dev=sim_dev[0, 1].mean_jaccard_pct,
+        attested_train=coverage(train, table_b, fold_case).attested_pct,
+        attested_dev=coverage(dev, table_b, fold_case).attested_pct,
         k=k,
         n=n,
     )

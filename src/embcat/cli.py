@@ -29,7 +29,14 @@ from .combine import (
     zero_token_row,
 )
 from .corpus import SPLITS, conll_blocks, read_conll, read_labeled_text, top_n_types, vocab_counts
-from .embio import Format, RandomBackfill, detect_format, read_embeddings, write_embeddings
+from .embio import (
+    Format,
+    RandomBackfill,
+    atomic_output,
+    detect_format,
+    read_embeddings,
+    write_embeddings,
+)
 from .errors import DataError
 from .manifest import build_manifest, file_sha256
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
@@ -107,7 +114,7 @@ def _read_dataset(args, path: str, split: str = "other"):
     )
 
 
-def _manifest(args, inputs: dict[str, str], t0: float) -> dict:
+def _manifest(args, inputs: dict[str, str]) -> dict:
     skip = {"func", "subcommand", "seed", "stable", "fold_case"}
     options = {}
     for key, val in vars(args).items():
@@ -117,40 +124,39 @@ def _manifest(args, inputs: dict[str, str], t0: float) -> dict:
             options[key] = val
         elif isinstance(val, (list, tuple)):
             options[key] = list(val)
-    duration = None if args.stable else time.monotonic() - t0
-    return build_manifest(args.subcommand, options, inputs, args.seed, duration)
+    return build_manifest(args.subcommand, options, inputs, args.seed)
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns the report dict)
 
 
-def _cmd_info(args, t0):
-    table, path = _load_table(args.emb, args.emb_format, args.strict)
+def _cmd_info(args):
+    name, path = _parse_emb_arg(args.emb)
     fmt = args.emb_format or detect_format(path)
-    report = {
+    table = read_embeddings(path, fmt, name=name, strict=args.strict)
+    return {
         "name": table.name,
         "vocab": len(table),
         "dim": table.dim,
         "format": fmt.value,
         "n_duplicates": table.n_duplicates,
+        "manifest": _manifest(args, {"emb": path}),
     }
-    report["manifest"] = _manifest(args, {"emb": path}, t0)
-    return report
 
 
-def _cmd_convert(args, t0):
+def _cmd_convert(args):
     table, path = _load_table(args.emb, args.emb_format, args.strict)
+    manifest = _manifest(args, {"emb": path})
     write_embeddings(table, args.out, args.to)
-    report = {
+    return {
         "out": args.out,
         "format": args.to.value,
         "vocab": len(table),
         "dim": table.dim,
         "output_sha256": file_sha256(args.out),
+        "manifest": manifest,
     }
-    report["manifest"] = _manifest(args, {"emb": path}, t0)
-    return report
 
 
 def _convert_labels(labels: list[str], src: str, dst: str, mode: str) -> list[str]:
@@ -161,7 +167,7 @@ def _convert_labels(labels: list[str], src: str, dst: str, mode: str) -> list[st
     return labels
 
 
-def _cmd_convert_tags(args, t0):
+def _cmd_convert_tags(args):
     src, dst = args.tags_from, args.tags_to
     if src == dst:
         raise ValueError(f"--from {src} --to {dst} is not a conversion")
@@ -185,33 +191,33 @@ def _cmd_convert_tags(args, t0):
             out_lines.append(" ".join(fields))
     if n_sent == 0:
         raise DataError(f"{args.data}: no sentences")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+    manifest = _manifest(args, {"data": args.data})
+    with atomic_output(args.out) as f:
         f.write("\n".join(out_lines))
         f.write("\n")
-    report = {
+    return {
         "out": args.out,
         "from": src,
         "to": dst,
         "n_sentences": n_sent,
         "n_tags_changed": n_changed,
         "output_sha256": file_sha256(args.out),
+        "manifest": manifest,
     }
-    report["manifest"] = _manifest(args, {"data": args.data}, t0)
-    return report
 
 
-def _cmd_coverage(args, t0):
+def _cmd_coverage(args):
     table, path = _load_table(args.emb, args.emb_format)
     dataset = _read_dataset(args, args.data, args.split)
     counts = vocab_counts(dataset, _count_normalization(args))
     report = asdict(coverage(counts, table, args.fold_case))
     report["embedding"] = table.name
     report["normalization"] = counts.normalization
-    report["manifest"] = _manifest(args, {"emb": path, "data": args.data}, t0)
+    report["manifest"] = _manifest(args, {"emb": path, "data": args.data})
     return report
 
 
-def _cmd_similarity(args, t0):
+def _cmd_similarity(args):
     table_a, path_a = _load_table(args.emb_a, args.emb_format)
     table_b, path_b = _load_table(args.emb_b, args.emb_format)
     dataset = _read_dataset(args, args.data, args.split)
@@ -226,7 +232,7 @@ def _cmd_similarity(args, t0):
         shared_vocab_only=args.shared_vocab_only,
         threads=args.threads,
     )
-    report = {
+    return {
         "embedding_a": table_a.name,
         "embedding_b": table_b.name,
         "mean_jaccard_pct": sim.mean_jaccard_pct,
@@ -236,14 +242,11 @@ def _cmd_similarity(args, t0):
         "n_skipped": sim.n_skipped,
         "per_query": sim.per_query,
         "skipped": [list(s) for s in sim.skipped],
+        "manifest": _manifest(args, {"emb_a": path_a, "emb_b": path_b, "data": args.data}),
     }
-    report["manifest"] = _manifest(
-        args, {"emb_a": path_a, "emb_b": path_b, "data": args.data}, t0
-    )
-    return report
 
 
-def _cmd_pair_report(args, t0):
+def _cmd_pair_report(args):
     table_a, path_a = _load_table(args.emb_a, args.emb_format)
     table_b, path_b = _load_table(args.emb_b, args.emb_format)
     norm = _count_normalization(args)
@@ -261,12 +264,12 @@ def _cmd_pair_report(args, t0):
     )
     report = asdict(row)
     report["manifest"] = _manifest(
-        args, {"emb_a": path_a, "emb_b": path_b, "train": args.train, "dev": args.dev}, t0
+        args, {"emb_a": path_a, "emb_b": path_b, "train": args.train, "dev": args.dev}
     )
     return report
 
 
-def _cmd_combine(args, t0):
+def _cmd_combine(args):
     tables = []
     paths = {}
     for emb in args.emb:
@@ -287,9 +290,9 @@ def _cmd_combine(args, t0):
     table = combine(tables, vocab, policy, backfill, args.fold_case, threads=args.threads)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
+    manifest = _manifest(args, paths)
     write_embeddings(table, args.out, args.to)
     out_sha = file_sha256(args.out)
-    manifest = _manifest(args, paths, t0)
     sidecar = {
         "out": str(args.out),
         "output_sha256": out_sha,
@@ -315,10 +318,10 @@ def _cmd_combine(args, t0):
         "version": __version__,
     }
     manifest_path = str(args.out) + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
+    with atomic_output(manifest_path) as f:
         json.dump(sidecar, f, indent=2, ensure_ascii=False)
         f.write("\n")
-    report = {
+    return {
         "out": args.out,
         "format": args.to.value,
         "vocab": len(table),
@@ -327,12 +330,11 @@ def _cmd_combine(args, t0):
         "sources": [t.name for t in tables],
         "output_sha256": out_sha,
         "sidecar_manifest": manifest_path,
+        "manifest": manifest,
     }
-    report["manifest"] = manifest
-    return report
 
 
-def _cmd_recommend(args, t0):
+def _cmd_recommend(args):
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
     tables = []
@@ -357,16 +359,15 @@ def _cmd_recommend(args, t0):
     )
     paths["train"] = args.train
     paths["dev"] = args.dev
-    report = {
+    return {
         "tau_sim": args.tau_sim,
         "tau_cov": args.tau_cov,
         "pairs": [asdict(v) for v in verdicts],
+        "manifest": _manifest(args, paths),
     }
-    report["manifest"] = _manifest(args, paths, t0)
-    return report
 
 
-def _cmd_score(args, t0):
+def _cmd_score(args):
     gold = read_conll(args.gold, label_column=args.label_column)
     pred = read_conll(args.pred, label_column=args.label_column)
     if len(gold) == len(pred):
@@ -377,7 +378,7 @@ def _cmd_score(args, t0):
     pred_tags = [list(s.labels) for s in pred.sentences]
     result = entity_prf(gold_tags, pred_tags, mode=args.mode)
     report = asdict(result)
-    report["manifest"] = _manifest(args, {"gold": args.gold, "pred": args.pred}, t0)
+    report["manifest"] = _manifest(args, {"gold": args.gold, "pred": args.pred})
     return report
 
 
@@ -629,7 +630,7 @@ def main(argv=None) -> int:
             args.threads = _default_threads()
         elif args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        report = args.func(args, t0)
+        report = args.func(args)
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -639,6 +640,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if not args.stable:
+        report["manifest"]["duration_s"] = round(time.monotonic() - t0, 3)
     sys.stdout.write(_render(report, args.out_format, args.subcommand))
     return 0
 

@@ -251,7 +251,8 @@ def recommend(
     cov_train = {t.name: coverage(train, t, fold_case).attested_pct for t in tables}
     cov_dev = {t.name: coverage(dev, t, fold_case).attested_pct for t in tables}
     verdicts = []
-    for (i, j), sim in pairwise_similarity(tables, queries, k, fold_case, threads=threads).items():
+    sims = pairwise_similarity(tables, [queries], k, fold_case, threads=threads)[0]
+    for (i, j), sim in sims.items():
         a, b = tables[i], tables[j]
         min_att = min(cov_train[a.name], cov_train[b.name])
         verdicts.append(

@@ -22,6 +22,7 @@ import hashlib
 import logging
 import mmap
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -430,6 +431,25 @@ def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
 # writers
 
 
+@contextmanager
+def atomic_output(path, binary: bool = False):
+    """Write `path` through a temp file beside it (UTF-8 text with LF line
+    ends, or bytes) that replaces `path` only when the block succeeds and
+    is removed when it raises. A target that exists but is not a regular
+    file, such as a device, is refused: the rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataError(f"{path}: output is not a regular file")
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _check_token_writable(token: str):
     if not token or " " in token or "\n" in token:
         raise DataError(f"token {token!r} cannot be written: empty or contains space/newline")
@@ -447,7 +467,7 @@ def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> None:
 def _write_glove_text(table: EmbeddingTable, path, header: bool) -> None:
     for token in table.words:
         _check_token_writable(token)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         if header:
             f.write(f"{len(table)} {table.dim}\n")
         for token, row in zip(table.words, table.vectors):
@@ -462,7 +482,7 @@ def _write_glove_text(table: EmbeddingTable, path, header: bool) -> None:
 def _write_w2v_binary(table: EmbeddingTable, path) -> None:
     for token in table.words:
         _check_token_writable(token)
-    with open(path, "wb") as f:
+    with atomic_output(path, binary=True) as f:
         f.write(f"{len(table)} {table.dim}\n".encode("ascii"))
         le = table.vectors.astype("<f4", copy=False)
         for token, row in zip(table.words, le):

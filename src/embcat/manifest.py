@@ -3,7 +3,7 @@
 Every CLI report embeds one of these: the subcommand, its resolved
 options, a sha256 of each input file's raw bytes, the seed, the tool
 version, and (unless suppressed for golden-file diffing) the wall-clock
-duration.
+duration, which the CLI adds once the command has returned.
 """
 
 from __future__ import annotations
@@ -21,26 +21,18 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(
-    subcommand: str,
-    options: dict,
-    inputs: dict[str, str],
-    seed: int,
-    duration_s: float | None = None,
-) -> dict:
+def build_manifest(subcommand: str, options: dict, inputs: dict[str, str], seed: int) -> dict:
     """Assemble the provenance block embedded in every report.
 
     `inputs` maps a role name to a file path; values become sha256 hex
-    digests of the file bytes. Keys are emitted sorted so identical runs
-    serialize identically; duration_s=None omits the timing field.
+    digests of the file bytes, so build it before any output is written
+    (an output may overwrite an input). Keys are emitted sorted so
+    identical runs serialize identically.
     """
-    manifest = {
+    return {
         "subcommand": subcommand,
         "options": {k: options[k] for k in sorted(options)},
         "input_sha256": {k: file_sha256(inputs[k]) for k in sorted(inputs)},
         "seed": seed,
         "version": __version__,
     }
-    if duration_s is not None:
-        manifest["duration_s"] = round(duration_s, 3)
-    return manifest

@@ -16,6 +16,7 @@ from embcat.analysis import (
     knn,
     pair_report,
 )
+from embcat.combine import recommend
 from embcat.corpus import Sentence, TokenDataset, VocabCounts, top_n_types, vocab_counts
 from embcat.errors import DataError
 
@@ -393,3 +394,57 @@ def test_pair_report_error_order():
         pair_report(a, b, shared, none_shared, k=3, n=5)
     with pytest.raises(DataError, match="out of range for table 'A'"):
         pair_report(a, b, none_shared, none_shared, k=40, n=5)
+
+
+# ---------------------------------------------------------------------------
+# one search per table: every overlap question goes through one engine
+
+
+def _count_searches(monkeypatch):
+    """Record (table name, query rows) of every `_batch_topk` call."""
+    calls = []
+    search = analysis._batch_topk
+
+    def spy(table, q_rows, k, **kwargs):
+        calls.append((table.name, list(q_rows)))
+        return search(table, q_rows, k, **kwargs)
+
+    monkeypatch.setattr(analysis, "_batch_topk", spy)
+    return calls
+
+
+def test_pair_report_searches_each_table_once(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    a, b = _cased_pair()
+    train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50}, split="train")
+    # w36 is in A only: it is still searched in A, though the pair skips it
+    dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6}, split="dev")
+    pair_report(a, b, train, dev, k=3, n=5)
+    assert [name for name, _ in calls] == ["A", "B"]
+    expect_a = [a.index[w] for w in ("the", "dog", "w00", "w36", "w10")]
+    assert calls[0][1] == expect_a
+    assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "zz", "w00", "dog", "w10")]
+
+
+def test_recommend_searches_each_table_once(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    rng = np.random.default_rng(5)
+    tables = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate("ABCD")]
+    counts = _counts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
+    verdicts = recommend(tables, counts, counts, k=4, n=10)
+    assert len(verdicts) == 6
+    assert sorted(name for name, _ in calls) == ["A", "B", "C", "D"]
+    assert all(rows == list(range(10)) for _, rows in calls)
+
+
+@pytest.mark.parametrize("shared_vocab_only", [False, True])
+def test_similarity_searches_each_table_once(monkeypatch, shared_vocab_only):
+    calls = _count_searches(monkeypatch)
+    a, b = _cased_pair()
+    embedding_similarity(
+        a, b, ["the", "w00", "w36", "zz"], k=3, shared_vocab_only=shared_vocab_only
+    )
+    assert calls == [
+        ("A", [a.index["the"], a.index["w00"], a.index["w36"]]),
+        ("B", [b.index["the"], b.index["w00"], b.index["zz"]]),
+    ]

@@ -143,6 +143,55 @@ def test_convert_round_trip(capsys, tmp_path):
     assert len(rep["output_sha256"]) == 64
 
 
+def test_convert_in_place_hashes_the_input(capsys, tmp_path):
+    # the manifest hashes the input before the output overwrites it
+    emb = tmp_path / "x.txt"
+    emb.write_text("a 0.10 0.20\nb 0.30 0.40\n")
+    before = file_sha256(emb)
+    rep = run_json(
+        capsys, "convert", "--emb", str(emb), "--out", str(emb), "--to", "glove", "--stable"
+    )
+    assert rep["manifest"]["input_sha256"]["emb"] == before
+    assert rep["output_sha256"] == file_sha256(emb) != before
+    assert emb.read_text() == "a 0.1 0.2\nb 0.3 0.4\n"
+
+
+def test_convert_tags_in_place_hashes_the_input(capsys, tmp_path):
+    data = tmp_path / "x.conll"
+    data.write_text("Peter I-PER\nBlackburn I-PER\n")
+    before = file_sha256(data)
+    rep = run_json(
+        capsys, "convert-tags", "--data", str(data), "--out", str(data),
+        "--from", "iob1", "--to", "bio", "--stable",
+    )
+    assert rep["manifest"]["input_sha256"]["data"] == before
+    assert rep["output_sha256"] == file_sha256(data) != before
+    assert data.read_text() == "Peter B-PER\nBlackburn I-PER\n"
+
+
+def test_duration_is_the_last_manifest_key(capsys, tmp_path):
+    out = str(tmp_path / "o")
+    rep = run_json(capsys, "convert", "--emb", FIXTURE, "--out", out, "--to", "w2v")
+    assert list(rep["manifest"])[-1] == "duration_s"
+
+
+def test_info_detects_the_format_once(capsys, monkeypatch):
+    from embcat import cli, embio
+
+    calls = []
+    detect = embio.detect_format
+
+    def spy(path):
+        calls.append(path)
+        return detect(path)
+
+    monkeypatch.setattr(embio, "detect_format", spy)
+    monkeypatch.setattr(cli, "detect_format", spy)
+    rep = run_json(capsys, "info", "--emb", FIXTURE, "--stable")
+    assert rep["format"] == "GloveText"
+    assert calls == [FIXTURE]
+
+
 def test_convert_tags(capsys, tmp_path):
     src = tmp_path / "bio.conll"
     src.write_text("-DOCSTART- O\n\nMary B-PER\nSmith I-PER\nruns O\n\nParis B-LOC\n")

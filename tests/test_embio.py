@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from embcat.embio import (
     Format,
     RandomBackfill,
     _float32_range,
+    atomic_output,
     detect_format,
     lookup,
     random_vector,
@@ -435,3 +439,65 @@ def test_random_table_round_trip(tmp_path):
         path = tmp_path / fmt.name
         write_embeddings(t, path, fmt)
         assert tables_equal(t, read_embeddings(path, fmt))
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+
+
+class _FailingRows:
+    """Vectors whose second row raises, as a full disk would midway."""
+
+    def astype(self, *args, **kwargs):
+        return self
+
+    def __iter__(self):
+        yield np.array([0.5, -1.0], dtype=np.float32)
+        raise OSError("no space left on device")
+
+
+class _FailingTable:
+    name = "t"
+    words = ("a", "b")
+    dim = 2
+    vectors = _FailingRows()
+
+    def __len__(self):
+        return 2
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+def test_failed_write_keeps_previous_file(tmp_path, toy_table, fmt):
+    path = tmp_path / "table.out"
+    write_embeddings(toy_table, path, fmt)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="no space left"):
+        write_embeddings(_FailingTable(), path, fmt)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["table.out"]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_atomic_output(tmp_path, binary):
+    path = tmp_path / "out"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_output(path, binary) as f:
+            f.write(b"new" if binary else "new")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out"]
+    with atomic_output(path, binary) as f:
+        f.write(b"new\n" if binary else "new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_atomic_output_refuses_a_non_regular_target(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(DataError, match="not a regular file"):
+        with atomic_output(fifo) as f:
+            f.write("never")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
