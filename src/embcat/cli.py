@@ -10,6 +10,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .embio import (
     write_embeddings,
 )
 from .errors import DataError
-from .manifest import build_manifest, file_sha256
+from .manifest import build_manifest
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
 
 _FORMAT_ALIASES = {
@@ -148,13 +149,13 @@ def _cmd_info(args):
 def _cmd_convert(args):
     table, path = _load_table(args.emb, args.emb_format, args.strict)
     manifest = _manifest(args, {"emb": path})
-    write_embeddings(table, args.out, args.to)
+    out_sha = write_embeddings(table, args.out, args.to)
     return {
         "out": args.out,
         "format": args.to.value,
         "vocab": len(table),
         "dim": table.dim,
-        "output_sha256": file_sha256(args.out),
+        "output_sha256": out_sha,
         "manifest": manifest,
     }
 
@@ -192,16 +193,16 @@ def _cmd_convert_tags(args):
     if n_sent == 0:
         raise DataError(f"{args.data}: no sentences")
     manifest = _manifest(args, {"data": args.data})
-    with atomic_output(args.out) as f:
-        f.write("\n".join(out_lines))
-        f.write("\n")
+    text = ("\n".join(out_lines) + "\n").encode("utf-8")
+    with atomic_output(args.out, binary=True) as f:
+        f.write(text)
     return {
         "out": args.out,
         "from": src,
         "to": dst,
         "n_sentences": n_sent,
         "n_tags_changed": n_changed,
-        "output_sha256": file_sha256(args.out),
+        "output_sha256": hashlib.sha256(text).hexdigest(),
         "manifest": manifest,
     }
 
@@ -291,8 +292,7 @@ def _cmd_combine(args):
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
     manifest = _manifest(args, paths)
-    write_embeddings(table, args.out, args.to)
-    out_sha = file_sha256(args.out)
+    out_sha = write_embeddings(table, args.out, args.to)
     sidecar = {
         "out": str(args.out),
         "output_sha256": out_sha,
@@ -370,13 +370,17 @@ def _cmd_recommend(args):
 def _cmd_score(args):
     gold = read_conll(args.gold, label_column=args.label_column)
     pred = read_conll(args.pred, label_column=args.label_column)
+    gold_at = [f"{args.gold}:{line}" for line in gold.lines]
+    pred_at = [f"{args.pred}:{line}" for line in pred.lines]
     if len(gold) == len(pred):
         for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
             if g.tokens != p.tokens:
-                raise DataError(f"sentence {si}: gold and pred token sequences differ")
+                raise DataError(
+                    f"{pred_at[si]}: gold and pred token sequences differ (gold {gold_at[si]})"
+                )
     gold_tags = [list(s.labels) for s in gold.sentences]
     pred_tags = [list(s.labels) for s in pred.sentences]
-    result = entity_prf(gold_tags, pred_tags, mode=args.mode)
+    result = entity_prf(gold_tags, pred_tags, mode=args.mode, where=(gold_at, pred_at))
     report = asdict(result)
     report["manifest"] = _manifest(args, {"gold": args.gold, "pred": args.pred})
     return report

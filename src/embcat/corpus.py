@@ -32,10 +32,13 @@ class Sentence(NamedTuple):
 
 @dataclass
 class TokenDataset:
-    """Sentences of aligned (token, label) pairs from a column file."""
+    """Sentences of aligned (token, label) pairs from a column file.
+    `lines` holds each sentence's first line number in that file, when
+    known, for error messages."""
 
     sentences: tuple[Sentence, ...]
     split: str = "other"
+    lines: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         _check_split(self.split)
@@ -157,14 +160,16 @@ def read_conll(
     """Read a CoNLL-style column file into its sentences (`conll_blocks`);
     document markers and their sentence breaks are skipped."""
     sentences = []
+    lines = []
     for block in conll_blocks(path, {"token": token_column, "label": label_column}):
         if isinstance(block, list):
             tokens = tuple([fields[token_column] for _, fields in block])
             labels = tuple([fields[label_column] for _, fields in block])
             sentences.append(Sentence(tokens, labels))
+            lines.append(block[0][0])
     if not sentences:
         raise DataError(f"{path}: no sentences")
-    return TokenDataset(tuple(sentences), split=split)
+    return TokenDataset(tuple(sentences), split=split, lines=tuple(lines))
 
 
 def read_labeled_text(

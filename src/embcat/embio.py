@@ -7,6 +7,7 @@ lookup and deterministic random backfill for types a table does not cover.
 Format notes:
   - GloVe text: UTF-8, one record per line: token, then dim space-separated
     decimal reals, LF-terminated. Header variant: first line "<vocab> <dim>".
+    The writer prints each value as numpy's str() of the float32 does.
   - word2vec binary: ASCII header "<vocab> <dim>\\n", then per record the
     token bytes, one 0x20 separator, dim little-endian float32 values and
     optionally a trailing 0x0A. The reader accepts both trailing-LF and
@@ -455,39 +456,192 @@ def _check_token_writable(token: str):
         raise DataError(f"token {token!r} cannot be written: empty or contains space/newline")
 
 
-def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> None:
+def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> str:
     """Write a table so that reading the file back reproduces it exactly
-    (words, dim, and float32 vector values)."""
+    (words, dim, and float32 vector values). Returns the sha256 hex digest
+    of the bytes written, hashed as they are written."""
+    for token in table.words:
+        _check_token_writable(token)
     if fmt is Format.WORD2VEC_BINARY:
-        _write_w2v_binary(table, path)
+        chunks = _w2v_binary_chunks(table)
     else:
-        _write_glove_text(table, path, header=fmt is Format.GLOVE_TEXT_HEADER)
-
-
-def _write_glove_text(table: EmbeddingTable, path, header: bool) -> None:
-    for token in table.words:
-        _check_token_writable(token)
-    with atomic_output(path) as f:
-        if header:
-            f.write(f"{len(table)} {table.dim}\n")
-        for token, row in zip(table.words, table.vectors):
-            f.write(token)
-            f.write(" ")
-            # str() of a float32 scalar is the shortest decimal that parses
-            # back to the same single-precision value
-            f.write(" ".join(str(x) for x in row))
-            f.write("\n")
-
-
-def _write_w2v_binary(table: EmbeddingTable, path) -> None:
-    for token in table.words:
-        _check_token_writable(token)
+        chunks = _glove_text_chunks(table, header=fmt is Format.GLOVE_TEXT_HEADER)
+    h = hashlib.sha256()
     with atomic_output(path, binary=True) as f:
-        f.write(f"{len(table)} {table.dim}\n".encode("ascii"))
-        le = table.vectors.astype("<f4", copy=False)
-        for token, row in zip(table.words, le):
-            f.write(token.encode("utf-8"))
-            f.write(b" ")
-            f.write(row.tobytes())
-            f.write(b"\n")
+        for chunk in chunks:
+            h.update(chunk)
+            f.write(chunk)
+    return h.hexdigest()
 
+
+# values per write block: the text formatter's temporaries stay a few MB
+_WRITE_VALUES = 1 << 16
+
+
+def _row_blocks(table: EmbeddingTable):
+    """(tokens, vectors) of consecutive row blocks of about _WRITE_VALUES values."""
+    rows = max(1, _WRITE_VALUES // table.dim)
+    for a in range(0, len(table), rows):
+        yield table.words[a : a + rows], table.vectors[a : a + rows]
+
+
+def _w2v_binary_chunks(table: EmbeddingTable):
+    yield f"{len(table)} {table.dim}\n".encode("ascii")
+    for words, rows in _row_blocks(table):
+        le = rows.astype("<f4", copy=False)
+        yield b"".join(
+            part
+            for token, row in zip(words, le)
+            for part in (token.encode("utf-8"), b" ", row.tobytes(), b"\n")
+        )
+
+
+def _glove_text_chunks(table: EmbeddingTable, header: bool):
+    if header:
+        yield f"{len(table)} {table.dim}\n".encode("ascii")
+    for words, rows in _row_blocks(table):
+        sep = np.full(rows.shape, ord(" "), np.uint8)
+        sep[:, -1] = ord("\n")
+        text, lengths = _format_float32(rows.ravel(), sep.ravel())
+        tokens = [w.encode("utf-8") for w in words]
+        # each row is its token and a space, then its values' text: mark
+        # the token bytes and fill both kinds of byte in order
+        seg = np.empty(2 * len(tokens), np.intp)
+        seg[0::2] = [len(t) + 1 for t in tokens]
+        seg[1::2] = lengths.reshape(rows.shape).sum(axis=1)
+        is_token = np.repeat(np.tile([True, False], len(tokens)), seg)
+        out = np.empty(is_token.size, np.uint8)
+        out[is_token] = np.frombuffer(b" ".join(tokens) + b" ", np.uint8)
+        out[~is_token] = text
+        yield out
+
+
+# ---------------------------------------------------------------------------
+# float32 text: the bytes numpy's str() gives each value, a block at a time
+#
+# str(np.float32(x)) prints the shortest decimal that reads back as x (the
+# shortest round-trip rule of Steele & White; Ryu, Adams 2018), positional
+# for 1e-4 <= |x| < 1e6 and d.ddde+XX otherwise. _shortest_digits picks those
+# digits in float64 arithmetic; the few values it cannot decide safely there
+# are left to str() itself.
+
+# 10**t, correctly rounded, at _POW10[t + _P10]
+_P10 = 64
+_POW10 = np.array([float(f"1e{t}") for t in range(-_P10, _P10)])
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+# a scaled value y = v * 10**t carries at most 2.3e-16 * y of float64
+# rounding error (two roundings); a comparison decided by less than
+# _MARGIN * y is not trusted
+_MARGIN = 2.0**-48
+
+
+def _shortest_digits(x: np.ndarray):
+    """Shortest round-trip digits of float32 values `x`: integer digits m,
+    their count n and the decimal exponent k of the first digit, so that
+    |x| prints as m * 10**(k - n + 1); and a mask of the values left to str():
+    ±0.0, powers of two (their rounding interval is asymmetric) and any value
+    whose digits hinge on a comparison closer than _MARGIN allows."""
+    bits = x.view(np.uint32)
+    slow = (bits & 0x7FFFFF) == 0
+    v = np.where(slow, 1.5, np.abs(x.astype(np.float64)))
+    # the midpoints to the float32 neighbours lie at v ± half, exact in float64
+    biased = ((bits >> 23) & 0xFF).astype(np.int32)
+    half = np.ldexp(1.0, np.maximum(biased, 1) - 151)
+    k = np.floor(np.log10(v)).astype(np.intp)
+    k += v >= np.take(_POW10, k + 1 + _P10)
+    k -= v < np.take(_POW10, k + _P10)
+    # n digits suffice when the multiple of 10**(k - n + 1) nearest to v lies
+    # strictly inside v ± half; then n + 1 digits do too, and 9 always do,
+    # so four bisection steps find the fewest
+    lo = np.ones_like(k)
+    hi = np.full_like(k, 9)
+    for _ in range(4):
+        n = (lo + hi) // 2
+        p = np.take(_POW10, n - 1 - k + _P10)
+        y = v * p
+        off = np.abs(y - np.rint(y))
+        h = half * p
+        slow |= np.abs(off - h) < _MARGIN * y
+        ok = off < h
+        hi = np.where(ok, n, hi)
+        lo = np.where(ok, lo, n + 1)
+    n = hi
+    y = v * np.take(_POW10, n - 1 - k + _P10)
+    m = np.rint(y)
+    # a digit tie: which neighbour wins is str()'s choice
+    slow |= np.abs(np.abs(y - m) - 0.5) < _MARGIN * y
+    # only one digit can round up to the next decade (9.7 -> 10 -> 1e1)
+    carry = m >= np.take(_POW10, n + _P10)
+    k += carry
+    m = np.where(carry, 1.0, m)
+    return m.astype(np.int64), n, k, slow
+
+
+# Text layout: one row of 28 bytes per value, filled as 7 little-endian
+# uint32 words: a sign slot and 3 integer digits, 3 integer digits and '.',
+# 12 fraction digits, 'e' with the exponent's sign and 2 digits, and the
+# separator byte. A value's text is the columns [start, stop) of its row,
+# the sign at `start` if any, then the exponent (scientific only) and the
+# separator; _SHOWN holds that column mask for every (start, stop, sci).
+_DOT, _EXP, _SEP, _ROW = 7, 20, 24, 28
+
+
+def _ascii4(chars) -> np.ndarray:
+    """Rows of 4 ASCII bytes as little-endian uint32 words."""
+    return np.ascontiguousarray(chars, np.uint8).view("<u4").ravel()
+
+
+def _shown_columns() -> np.ndarray:
+    """The column mask of each key (start * (_SEP + 1) + stop) * 2 + sci."""
+    start, stop, sci = (
+        a.reshape(-1, 1)
+        for a in np.meshgrid(range(_DOT + 1), range(_SEP + 1), [0, 1], indexing="ij")
+    )
+    cols = np.arange(_ROW)
+    return (start <= cols) & (cols < stop) | (np.where(sci, _EXP, _SEP) <= cols) & (cols <= _SEP)
+
+
+# the ASCII digits of 0000 to 9999, one row each
+_DIGITS4 = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+_FRAC4 = _ascii4(_DIGITS4)
+_INT_HI = _ascii4(_DIGITS4[:1000])
+_INT_LO = _ascii4(np.c_[_DIGITS4[:1000, 1:], np.full(1000, ord("."))])
+_EXPONENT = _ascii4([list(f"e{k:+03d}".encode("ascii")) for k in range(-_P10, _P10)])
+_SHOWN = _shown_columns()
+# each mask row as one 28-byte item, so that np.take gathers whole rows
+_SHOWN_ROWS = _SHOWN.view(f"V{_ROW}").ravel()
+_SHOWN_LEN = _SHOWN.sum(axis=1)
+
+
+def _format_float32(x: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of str(v) + separator for each float32 v of `x` and its byte
+    in `sep`, concatenated, and the length of each value's part."""
+    m, n, k, slow = _shortest_digits(x)
+    neg = x.view(np.uint32) >= 1 << 31
+    v = np.abs(x.astype(np.float64))
+    sci = (v < 1e-4) | (v >= 1e6)
+    # the value times 10**12 as an integer: positional needs at most 6
+    # integer digits, scientific prints d.dddddddd
+    q = m * np.take(_POW10_INT, np.where(sci, 0, k) + 13 - n)
+    grid = np.empty((len(x), _ROW // 4), "<u4")
+    for word in (4, 3, 2):
+        q, r = np.divmod(q, 10000)
+        grid[:, word] = _FRAC4[r]
+    q, r = np.divmod(q, 1000)
+    grid[:, 0] = _INT_HI[q]
+    grid[:, 1] = _INT_LO[r]
+    grid[:, 5] = _EXPONENT[k + _P10]
+    grid[:, 6] = sep
+    chars = grid.view(np.uint8)
+    # every value gets a '-' left of its first digit; only a negative one shows it
+    sign = np.where(sci, _DOT - 2, _DOT - 2 - np.maximum(k, 0))
+    np.put_along_axis(chars, sign[:, None], ord("-"), axis=1)
+    start = sign + 1 - neg
+    stop = np.where(sci, _DOT + n - (n == 1), _DOT + 1 + np.maximum(n - k - 1, 1))
+    for i in np.flatnonzero(slow):
+        text = str(x[i]).encode("ascii")
+        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+        start[i], stop[i], sci[i] = 0, len(text), False
+    key = (start * (_SEP + 1) + stop) * 2 + sci
+    shown = np.take(_SHOWN_ROWS, key).view(bool)
+    return chars.ravel()[shown], _SHOWN_LEN[key]

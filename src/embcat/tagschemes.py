@@ -193,10 +193,18 @@ def _extract_strict(labels: list[str], sentence: int) -> list[Entity]:
     return entities
 
 
-def entity_prf(gold: list[list[str]], pred: list[list[str]], mode: str = "lenient") -> ScoreReport:
+def entity_prf(
+    gold: list[list[str]],
+    pred: list[list[str]],
+    mode: str = "lenient",
+    *,
+    where: tuple[list[str], list[str]] | None = None,
+) -> ScoreReport:
     """Span precision/recall/F1 of predicted tags against gold tags.
 
     Both inputs are per-sentence tag sequences; shapes must match exactly.
+    `where`, if given, holds a location per sentence of gold and of pred
+    (such as "file:line"); a malformed tag's error starts with its own.
     """
     if len(gold) != len(pred):
         raise DataError(f"{len(gold)} gold sentences but {len(pred)} predicted")
@@ -204,8 +212,15 @@ def entity_prf(gold: list[list[str]], pred: list[list[str]], mode: str = "lenien
     for si, (g, p) in enumerate(zip(gold, pred)):
         if len(g) != len(p):
             raise DataError(f"sentence {si}: {len(g)} gold tags but {len(p)} predicted")
-        ge = set(extract_entities(g, mode=mode, sentence=si))
-        pe = set(extract_entities(p, mode=mode, sentence=si))
+        spans = []
+        for side, tags in enumerate((g, p)):
+            try:
+                spans.append(set(extract_entities(tags, mode=mode, sentence=si)))
+            except DataError as e:
+                if where is None:
+                    raise
+                raise DataError(f"{where[side][si]}: {e}") from None
+        ge, pe = spans
         n_gold += len(ge)
         n_pred += len(pe)
         n_correct += len(ge & pe)

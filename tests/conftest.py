@@ -26,6 +26,15 @@ def tables_equal(a: EmbeddingTable, b: EmbeddingTable) -> bool:
     return a.words == b.words and a.dim == b.dim and np.array_equal(a.vectors, b.vectors)
 
 
+def glove_text_reference(table: EmbeddingTable, header: bool = False) -> bytes:
+    """The text writer's bytes built one value at a time with str(), which
+    prints a float32 in its shortest round-trip form: the reference the
+    block formatter must match byte for byte."""
+    lines = [f"{len(table)} {table.dim}"] if header else []
+    lines += [f"{w} " + " ".join(str(x) for x in row) for w, row in zip(table.words, table.vectors)]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def ablated_reference(
     second: EmbeddingTable, first_vocab: set[str], kind: str, backfill: RandomBackfill
 ) -> EmbeddingTable:

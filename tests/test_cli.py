@@ -491,6 +491,27 @@ def test_score_cli_token_mismatch(capsys, tmp_path):
     assert code == 1 and "differ" in err
 
 
+@pytest.mark.parametrize("side", ["gold", "pred"])
+def test_score_malformed_tag_names_file_and_line(capsys, tmp_path, side):
+    good = "-DOCSTART- O\n\nMary B-PER\n\nParis B-LOC\nis O\n"
+    files = {name: tmp_path / f"{name}.conll" for name in ("gold", "pred")}
+    for name, path in files.items():
+        path.write_text(good.replace("B-LOC", "X-PER") if name == side else good)
+    code, _, err = run(capsys, "score", "--gold", str(files["gold"]), "--pred", str(files["pred"]))
+    assert code == 1
+    assert err.startswith(f"error: {files[side]}:5: ") and "malformed tag 'X-PER'" in err
+
+
+def test_score_token_mismatch_names_file_and_line(capsys, tmp_path):
+    gold = tmp_path / "gold.conll"
+    gold.write_text("Mary B-PER\n\nParis B-LOC\n")
+    pred = tmp_path / "pred.conll"
+    pred.write_text("Mary B-PER\n\n\nRome B-LOC\n")
+    code, _, err = run(capsys, "score", "--gold", str(gold), "--pred", str(pred))
+    assert code == 1
+    assert err.startswith(f"error: {pred}:4: ") and f"{gold}:3" in err
+
+
 def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("EMBCAT_THREADS", "3")
     rep = run_json(capsys, "info", "--emb", FIXTURE, "--stable")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table, random_table, tables_equal
+from conftest import glove_text_reference, make_table, random_table, tables_equal
+from embcat import embio
 from embcat.embio import (
     EmbeddingTable,
     Format,
@@ -21,6 +22,7 @@ from embcat.embio import (
     write_embeddings,
 )
 from embcat.errors import DataError
+from embcat.manifest import file_sha256
 
 FIXTURE = "tests/fixtures/tiny.glove"
 
@@ -441,38 +443,120 @@ def test_random_table_round_trip(tmp_path):
         assert tables_equal(t, read_embeddings(path, fmt))
 
 
+@pytest.mark.parametrize("fmt", list(Format))
+def test_write_returns_the_sha256_of_the_file(tmp_path, fmt):
+    t = random_table(np.random.default_rng(5), n=40, dim=9)
+    path = tmp_path / "t.out"
+    assert write_embeddings(t, path, fmt) == file_sha256(path)
+
+
+# ---------------------------------------------------------------------------
+# text values: byte-identical to str() of each float32
+
+
+def _values_table(values, dim=7) -> EmbeddingTable:
+    """The float32 values, in order, as rows of `dim` (the last row padded with 0.5)."""
+    flat = np.asarray(values, dtype=np.float32).ravel()
+    flat = np.concatenate([flat, np.full(-flat.size % dim, 0.5, np.float32)])
+    rows = flat.reshape(-1, dim)
+    return EmbeddingTable("t", tuple(f"w{i}" for i in range(len(rows))), rows)
+
+
+def _assert_text_matches_str(path, table, header=False):
+    fmt = Format.GLOVE_TEXT_HEADER if header else Format.GLOVE_TEXT
+    write_embeddings(table, path, fmt)
+    assert path.read_bytes() == glove_text_reference(table, header)
+
+
+def _around(center, ulps):
+    """Every float32 within `ulps` steps of float32(center), both signs."""
+    bits = int(np.float32(center).view(np.uint32)) + np.arange(-ulps, ulps + 1)
+    x = bits.astype(np.uint32).view(np.float32)
+    return np.concatenate([x, -x])
+
+
+finite_f32_bits = st.integers(0, 2**32 - 1).filter(lambda b: (b >> 23) & 0xFF != 0xFF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(finite_f32_bits, min_size=1, max_size=64))
+def test_text_matches_str_on_any_float32_bits(tmp_path_factory, bits):
+    x = np.array(bits, dtype=np.uint32).view(np.float32)
+    _assert_text_matches_str(tmp_path_factory.mktemp("bits") / "t", _values_table(x))
+
+
+@pytest.mark.parametrize("center", [1e-4, 1e6])
+def test_text_matches_str_around_the_layout_switch(tmp_path, center):
+    # positional for 1e-4 <= |x| < 1e6, scientific outside
+    _assert_text_matches_str(tmp_path / "t", _values_table(_around(center, 4096)))
+
+
+def test_text_matches_str_on_zeros_powers_of_two_and_subnormals(tmp_path):
+    pow2 = np.ldexp(np.float32(1), np.arange(-149, 128)).astype(np.float32)
+    subnormals = np.arange(1, 1 << 23, 4099, dtype=np.uint32).view(np.float32)
+    x = np.concatenate([[0.0, -0.0], pow2, -pow2, subnormals, -subnormals])
+    _assert_text_matches_str(tmp_path / "t", _values_table(x))
+    first = (tmp_path / "t").read_text().split()[1:3]
+    assert first == ["0.0", "-0.0"]
+
+
+def test_text_matches_str_where_the_digits_carry_into_the_next_decade(tmp_path):
+    # float32(0.01) lies just below 0.01; its shortest digits round 9.99... up to 1e-2
+    assert float(np.float32(0.01)) < 0.01
+    near = [_around(10.0**e, 3) for e in range(-44, 39)]
+    _assert_text_matches_str(tmp_path / "t", _values_table(np.concatenate([[0.01], *near])))
+    assert (tmp_path / "t").read_text().split()[1] == "0.01"
+
+
+@pytest.mark.parametrize("block_values", [1, 20, 1 << 16])
+def test_text_matches_str_across_write_blocks(tmp_path, monkeypatch, block_values):
+    monkeypatch.setattr(embio, "_WRITE_VALUES", block_values)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((23, 7)) * 10.0 ** rng.integers(-8, 9, (23, 1))
+    vals[3] = 0.0
+    t = make_table("t", [f"tok{i}é" for i in range(23)], vals)
+    _assert_text_matches_str(tmp_path / "t", t, header=True)
+
+
 # ---------------------------------------------------------------------------
 # atomic outputs
 
 
 class _FailingRows:
-    """Vectors whose second row raises, as a full disk would midway."""
+    """Vectors whose second one-row block raises, as a full disk would midway."""
 
-    def astype(self, *args, **kwargs):
-        return self
+    def __init__(self):
+        self.blocks = 0
 
-    def __iter__(self):
-        yield np.array([0.5, -1.0], dtype=np.float32)
-        raise OSError("no space left on device")
+    def __getitem__(self, rows):
+        self.blocks += 1
+        if self.blocks > 1:
+            raise OSError("no space left on device")
+        return np.array([[0.5, -1.0]], dtype=np.float32)
 
 
 class _FailingTable:
     name = "t"
     words = ("a", "b")
     dim = 2
-    vectors = _FailingRows()
+
+    def __init__(self):
+        self.vectors = _FailingRows()
 
     def __len__(self):
         return 2
 
 
 @pytest.mark.parametrize("fmt", list(Format))
-def test_failed_write_keeps_previous_file(tmp_path, toy_table, fmt):
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, toy_table, fmt):
     path = tmp_path / "table.out"
     write_embeddings(toy_table, path, fmt)
     before = path.read_bytes()
+    monkeypatch.setattr(embio, "_WRITE_VALUES", 1)
+    failing = _FailingTable()
     with pytest.raises(OSError, match="no space left"):
-        write_embeddings(_FailingTable(), path, fmt)
+        write_embeddings(failing, path, fmt)
+    assert failing.vectors.blocks == 2  # the first block went out before the failure
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["table.out"]
 
