@@ -247,7 +247,8 @@ def pairwise_similarity(
     threads: int = 1,
 ) -> list[dict[tuple[int, int], SimilarityReport]]:
     """Mean Jaccard overlap of every pair (i, j), i < j, of the tables, per
-    query list: one {(i, j): SimilarityReport} dict per list, in pair order.
+    query list: one {(i, j): SimilarityReport} dict per list, in pair order,
+    that leaves out each pair with no query left in that list.
 
     Each query is resolved once per table, and each table searched once,
     over the distinct rows of every query that resolves in it (list by
@@ -255,7 +256,6 @@ def pairwise_similarity(
     candidate rows. Before any search, each list and then each pair is
     checked: k against both tables, then every query, which is skipped
     with a reason when it is a duplicate or missing from either table.
-    Raises when a pair is left with no query.
     """
     hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
     pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]
@@ -277,9 +277,8 @@ def pairwise_similarity(
                 else:
                     used.append(q)
                 seen.add(q)
-            if not used:
-                raise DataError("no shared queries")
-            checked.append((li, i, j, used, skipped))
+            if used:
+                checked.append((li, i, j, used, skipped))
 
     fold = str.lower if fold_case else str
     sets = []
@@ -302,6 +301,13 @@ def pairwise_similarity(
             skipped=tuple(skipped),
         )
     return reports
+
+
+def _scored(sims: dict[tuple[int, int], SimilarityReport]) -> SimilarityReport:
+    """The report of the one pair (0, 1), which needs a shared query."""
+    if (0, 1) not in sims:
+        raise DataError("no shared queries")
+    return sims[0, 1]
 
 
 def embedding_similarity(
@@ -328,7 +334,7 @@ def embedding_similarity(
     sims = pairwise_similarity(
         [table_a, table_b], [queries], k, fold_case, masks=[mask_a, mask_b], threads=threads
     )
-    return sims[0][0, 1]
+    return _scored(sims[0])
 
 
 def coverage(
@@ -368,14 +374,13 @@ def pair_report(
     two tables, and the second table's coverage, per split. Each table is
     searched once, over the train then the dev queries."""
     queries = [top_n_types(train, n), top_n_types(dev, n)]
-    sim_train, sim_dev = pairwise_similarity(
-        [table_a, table_b], queries, k, fold_case, threads=threads
-    )
+    sims = pairwise_similarity([table_a, table_b], queries, k, fold_case, threads=threads)
+    sim_train, sim_dev = (_scored(s) for s in sims)
     return PairReport(
         embedding_a=table_a.name,
         embedding_b=table_b.name,
-        overlap_train=sim_train[0, 1].mean_jaccard_pct,
-        overlap_dev=sim_dev[0, 1].mean_jaccard_pct,
+        overlap_train=sim_train.mean_jaccard_pct,
+        overlap_dev=sim_dev.mean_jaccard_pct,
         attested_train=coverage(train, table_b, fold_case).attested_pct,
         attested_dev=coverage(dev, table_b, fold_case).attested_pct,
         k=k,

@@ -213,7 +213,7 @@ class PairVerdict:
 
     embedding_a: str
     embedding_b: str
-    overlap: float
+    overlap: float | None
     attested_a: float
     attested_b: float
     attested_dev_a: float
@@ -240,7 +240,9 @@ def recommend(
     split's top-n types is below tau_sim and both tables attest at least
     tau_cov percent of the train types: dissimilar spaces with good
     coverage are the combinations worth concatenating. Recommended pairs
-    come first, most dissimilar first, then highest min-coverage.
+    come first, most dissimilar first, then highest min-coverage. A pair
+    whose tables share no query is not scored: its overlap is None, and it
+    comes after every scored pair. Raises when no pair is scored.
     """
     if len(tables) < 2:
         raise DataError(f"need at least two tables to recommend pairs, got {len(tables)}")
@@ -250,28 +252,34 @@ def recommend(
     queries = top_n_types(train, n)
     cov_train = {t.name: coverage(train, t, fold_case).attested_pct for t in tables}
     cov_dev = {t.name: coverage(dev, t, fold_case).attested_pct for t in tables}
-    verdicts = []
     sims = pairwise_similarity(tables, [queries], k, fold_case, threads=threads)[0]
-    for (i, j), sim in sims.items():
-        a, b = tables[i], tables[j]
-        min_att = min(cov_train[a.name], cov_train[b.name])
-        verdicts.append(
-            PairVerdict(
-                embedding_a=a.name,
-                embedding_b=b.name,
-                overlap=sim.mean_jaccard_pct,
-                attested_a=cov_train[a.name],
-                attested_b=cov_train[b.name],
-                attested_dev_a=cov_dev[a.name],
-                attested_dev_b=cov_dev[b.name],
-                min_attested=min_att,
-                recommended=sim.mean_jaccard_pct < tau_sim and min_att >= tau_cov,
+    if not sims:
+        raise DataError("no shared queries")
+    verdicts = []
+    for i in range(len(tables)):
+        for j in range(i + 1, len(tables)):
+            a, b = tables[i], tables[j]
+            sim = sims.get((i, j))
+            overlap = None if sim is None else sim.mean_jaccard_pct
+            min_att = min(cov_train[a.name], cov_train[b.name])
+            verdicts.append(
+                PairVerdict(
+                    embedding_a=a.name,
+                    embedding_b=b.name,
+                    overlap=overlap,
+                    attested_a=cov_train[a.name],
+                    attested_b=cov_train[b.name],
+                    attested_dev_a=cov_dev[a.name],
+                    attested_dev_b=cov_dev[b.name],
+                    min_attested=min_att,
+                    recommended=overlap is not None and overlap < tau_sim and min_att >= tau_cov,
+                )
             )
-        )
     verdicts.sort(
         key=lambda v: (
             not v.recommended,
-            v.overlap,
+            v.overlap is None,
+            v.overlap or 0.0,
             -v.min_attested,
             v.embedding_a,
             v.embedding_b,

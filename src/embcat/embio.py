@@ -18,6 +18,7 @@ Values are stored at single precision, which is what both formats carry.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import hashlib
 import logging
@@ -270,72 +271,82 @@ def _preallocate(rows: int, dim: int) -> np.ndarray:
     return np.empty((rows, dim if rows else 0), np.float32)
 
 
+# bytes per text read; the whole lines of each read are one block, parsed
+# beside the matrix, so a block stays a few MB
+_READ_BYTES = 1 << 20
+# the bytes a plain line's vector values may hold besides their spaces, and
+# the line end: on these, numpy's loadtxt and float() accept the same text
+# and read the same value (loadtxt alone takes \x1c-\x1f as whitespace,
+# float() alone takes 1_0 or Unicode digits)
+_VALUE_BYTES = b"0123456789+-.eE\r\n"
+
+
 def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
+    """Parse GloVe text a block of lines at a time: a block whose lines are
+    all plain goes through numpy's loadtxt, any other through _parse_lines,
+    which reads each line on its own and names the first bad one."""
     words: list[str] = []
-    index: dict[str, int] = {}
+    seen: set[str] = set()
     dups = 0
     dim: int | None = None
     declared: int | None = None
     mat: np.ndarray | None = None
     n = 0
-    with utf8_input(path), open(path, encoding="utf-8", newline="\n") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if lineno == 1 and header:
-                hdr = _two_ints(line.encode("utf-8", "surrogateescape"))
-                if hdr is None:
-                    raise DataError(f"{path}:1: expected '<vocab> <dim>' header, got {line!r}")
-                declared, dim = hdr
-                if dim < 1:
-                    raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
+    lineno = 0  # lines before the block
+    with utf8_input(path), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        for text in _line_blocks(f):
+            lines = text.split("\n")
+            if dim is None:
+                line = lines[0].rstrip("\r")
+                if header:
+                    hdr = _two_ints(line.encode("utf-8", "surrogateescape"))
+                    if hdr is None:
+                        raise DataError(f"{path}:1: expected '<vocab> <dim>' header, got {line!r}")
+                    declared, dim = hdr
+                    if dim < 1:
+                        raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
+                    want = max(declared, 1)
+                    lines = lines[1:]
+                    text = text.partition("\n")[2]
+                    lineno = 1
+                else:
+                    if not line:
+                        raise DataError(f"{path}:1: blank line inside embedding file")
+                    dim = len(line.split(" ")) - 1
+                    if dim < 1:
+                        raise DataError(f"{path}:1: expected token and vector, got {line!r}")
+                    # the rows the first block's share of the file suggests,
+                    # and a quarter to spare
+                    want = size * len(lines) // len(text) * 5 // 4 + 1
                 # preallocate no more rows than the file can hold: each
                 # record is at least a token byte plus dim " v" pairs, so
                 # with no room for one, no record can parse and none is
                 # ever stored
-                fits = os.fstat(f.fileno()).st_size // (2 * dim + 1)
-                mat = _preallocate(min(max(declared, 1), fits), dim)
+                mat = _preallocate(min(want, size // (2 * dim + 1)), dim)
+            if not lines:
                 continue
-            if not line:
-                raise DataError(f"{path}:{lineno}: blank line inside embedding file")
-            fields = line.split(" ")
-            if dim is None:
-                dim = len(fields) - 1
-                if dim < 1:
-                    raise DataError(f"{path}:{lineno}: expected token and vector, got {line!r}")
-                mat = np.empty((1024, dim), np.float32)
-            if len(fields) - 1 < dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
-                )
-            if len(fields) - 1 > dim:
-                # GloVe 840B ships a handful of records whose token contains
-                # spaces; fold the extra leading fields back into the token
-                if strict:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
-                    )
-                token = " ".join(fields[: len(fields) - dim])
-            else:
-                token = fields[0]
-            if not token:
-                raise DataError(f"{path}:{lineno}: empty token")
-            try:
-                vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable vector value") from None
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path}:{lineno}: non-finite value for token {token!r}")
-            if token in index:
-                dups += 1
-                continue
-            if n == mat.shape[0]:
-                grown = np.empty((mat.shape[0] * 2, dim), np.float32)
-                grown[:n] = mat[:n]
-                mat = grown
-            mat[n] = vec
-            index[token] = n
-            words.append(token)
-            n += 1
+            block = _plain_block(text, lines, dim)
+            if block is None:
+                block = _parse_lines(path, lineno, lines, dim, strict)
+            lineno += len(lines)
+            tokens, vals = block
+            # keep-first: each token's first row in the block, unless an
+            # earlier block holds the token
+            first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
+            for token in first.keys() & seen:
+                del first[token]
+            seen.update(first)
+            if len(first) < len(tokens):
+                keep = sorted(first.values())
+                dups += len(tokens) - len(keep)
+                tokens = [tokens[i] for i in keep]
+                vals = vals[keep]
+            if n + len(vals) > len(mat):
+                mat.resize((max(n + len(vals), len(mat) * 3 // 2), dim), refcheck=False)
+            mat[n : n + len(vals)] = vals
+            words += tokens
+            n += len(vals)
     if n == 0:
         raise DataError(f"{path}: no embedding records")
     if declared is not None and n + dups != declared:
@@ -345,7 +356,105 @@ def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
         log.warning(msg)
     if dups:
         log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
-    return EmbeddingTable(name, tuple(words), mat[:n].copy(), n_duplicates=dups)
+    # no view of mat exists, so it may shrink in place
+    mat.resize((n, dim), refcheck=False)
+    return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
+
+
+def _line_blocks(f):
+    """The file's text in runs of whole lines of about _READ_BYTES, each
+    without its last "\\n". Each read is decoded whole, so an undecodable
+    byte in it is found before any fault in its lines."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    pending: list[str] = []
+    while data := f.read(_READ_BYTES):
+        text = decoder.decode(data)
+        cut = text.rfind("\n")
+        if cut < 0:
+            pending.append(text)
+            continue
+        yield "".join([*pending, text[:cut]])
+        pending = [text[cut + 1 :]]
+    rest = "".join(pending) + decoder.decode(b"", final=True)
+    if rest:
+        yield rest
+
+
+def _plain_block(text: str, lines: list[str], dim: int):
+    """(tokens, float32 values) of a block whose lines are all plain, else
+    None. A plain line is a non-empty token and dim values, each after one
+    space, that hold only _VALUE_BYTES and that loadtxt reads as finite; it
+    may end in one CR. `lines` are the block `text` split at "\\n"."""
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+        if any("\r" in line for line in lines):
+            return None
+    # a plain line holds at least a character per space
+    if dim * len(lines) > len(text):
+        return None
+    tokens = [line.partition(" ")[0] for line in lines]
+    if "" in tokens:
+        return None
+    try:
+        vals = np.loadtxt(
+            lines,
+            dtype=np.float32,
+            usecols=range(1, dim + 1),
+            delimiter=" ",
+            comments=None,
+            quotechar=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    # a row for every line means at least dim spaces on each. Deleting the
+    # value bytes leaves the spaces and every byte outside _VALUE_BYTES: dim
+    # spaces a line plus the tokens' own such bytes exactly when each line
+    # has dim spaces and plain values (loadtxt drops extra columns)
+    others = len("".join(tokens).encode("utf-8").translate(None, _VALUE_BYTES))
+    left = len(text.encode("utf-8").translate(None, _VALUE_BYTES))
+    if len(vals) != len(lines) or left != dim * len(lines) + others:
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    return tokens, vals
+
+
+def _parse_lines(path, start: int, lines: list[str], dim: int, strict: bool):
+    """(tokens, float32 values) of a block read line by line, its first
+    line being line start + 1 of the file; the first bad line raises."""
+    tokens: list[str] = []
+    vecs: list[np.ndarray] = []
+    for lineno, line in enumerate(lines, start + 1):
+        line = line.rstrip("\r")
+        if not line:
+            raise DataError(f"{path}:{lineno}: blank line inside embedding file")
+        fields = line.split(" ")
+        if len(fields) - 1 < dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
+            )
+        if len(fields) - 1 > dim:
+            # GloVe 840B ships a handful of records whose token contains
+            # spaces; fold the extra leading fields back into the token
+            if strict:
+                raise DataError(
+                    f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
+                )
+            token = " ".join(fields[: len(fields) - dim])
+        else:
+            token = fields[0]
+        if not token:
+            raise DataError(f"{path}:{lineno}: empty token")
+        try:
+            vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unparseable vector value") from None
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite value for token {token!r}")
+        tokens.append(token)
+        vecs.append(vec)
+    return tokens, np.array(vecs)
 
 
 def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
@@ -425,7 +534,9 @@ def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
             raise DataError(f"{path}: non-finite value for token {words[bad]!r}")
         if dups:
             log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
-        return EmbeddingTable(name, tuple(words), mat[:n].copy(), n_duplicates=dups)
+    # the mmap is closed and no view of mat exists, so it may shrink in place
+    mat.resize((n, dim), refcheck=False)
+    return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from embcat.corpus import TokenDataset, VocabCounts
-from embcat.embio import EmbeddingTable, RandomBackfill, random_vector
-from embcat.errors import DataError
+from embcat.embio import EmbeddingTable, RandomBackfill, _preallocate, _two_ints, log, random_vector
+from embcat.errors import DataError, utf8_input
 
 
 def make_table(name, words, vectors) -> EmbeddingTable:
@@ -33,6 +34,81 @@ def glove_text_reference(table: EmbeddingTable, header: bool = False) -> bytes:
     lines = [f"{len(table)} {table.dim}"] if header else []
     lines += [f"{w} " + " ".join(str(x) for x in row) for w, row in zip(table.words, table.vectors)]
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def read_glove_text_reference(path, name, header: bool, strict: bool) -> EmbeddingTable:
+    """The GloVe text reader one line at a time, with a Python split and an
+    np.array per line: the reference the block reader must match table for
+    table, warning for warning and error message for error message."""
+    words: list[str] = []
+    index: dict[str, int] = {}
+    dups = 0
+    dim: int | None = None
+    declared: int | None = None
+    mat: np.ndarray | None = None
+    n = 0
+    with utf8_input(path), open(path, encoding="utf-8", newline="\n") as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if lineno == 1 and header:
+                hdr = _two_ints(line.encode("utf-8", "surrogateescape"))
+                if hdr is None:
+                    raise DataError(f"{path}:1: expected '<vocab> <dim>' header, got {line!r}")
+                declared, dim = hdr
+                if dim < 1:
+                    raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
+                fits = os.fstat(f.fileno()).st_size // (2 * dim + 1)
+                mat = _preallocate(min(max(declared, 1), fits), dim)
+                continue
+            if not line:
+                raise DataError(f"{path}:{lineno}: blank line inside embedding file")
+            fields = line.split(" ")
+            if dim is None:
+                dim = len(fields) - 1
+                if dim < 1:
+                    raise DataError(f"{path}:{lineno}: expected token and vector, got {line!r}")
+                mat = np.empty((1024, dim), np.float32)
+            if len(fields) - 1 < dim:
+                raise DataError(
+                    f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
+                )
+            if len(fields) - 1 > dim:
+                if strict:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {dim} vector values, found {len(fields) - 1}"
+                    )
+                token = " ".join(fields[: len(fields) - dim])
+            else:
+                token = fields[0]
+            if not token:
+                raise DataError(f"{path}:{lineno}: empty token")
+            try:
+                vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparseable vector value") from None
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: non-finite value for token {token!r}")
+            if token in index:
+                dups += 1
+                continue
+            if n == mat.shape[0]:
+                grown = np.empty((mat.shape[0] * 2, dim), np.float32)
+                grown[:n] = mat[:n]
+                mat = grown
+            mat[n] = vec
+            index[token] = n
+            words.append(token)
+            n += 1
+    if n == 0:
+        raise DataError(f"{path}: no embedding records")
+    if declared is not None and n + dups != declared:
+        msg = f"{path}: header declares {declared} records, file holds {n + dups}"
+        if strict:
+            raise DataError(msg)
+        log.warning(msg)
+    if dups:
+        log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
+    return EmbeddingTable(name, tuple(words), mat[:n].copy(), n_duplicates=dups)
 
 
 def ablated_reference(

@@ -472,6 +472,27 @@ def test_recommend_cli(capsys, tmp_path, conll_file):
     assert code == 1  # fewer than two tables is a data error
 
 
+def test_recommend_cli_reports_an_unscored_pair(capsys, tmp_path, conll_file):
+    # one and two share no corpus type, though each shares some with three
+    tables = {
+        "one": "eu 1 0\ngerman 0 1\nxa 1 1\n",
+        "two": "peter 1 0\nblackburn 0 1\nxb 1 1\n",
+        "three": "eu 1 0\npeter 0 1\nxc 1 1\n",
+    }
+    args = []
+    for name, text in tables.items():
+        (tmp_path / f"{name}.glove").write_text(text)
+        args += ["--emb", str(tmp_path / f"{name}.glove")]
+    common = ["--train", conll_file, "--dev", conll_file, "--top-n", "5", "--k", "1", "--stable"]
+    rep = run_json(capsys, "recommend", *args, *common)
+    pairs = [(p["embedding_a"], p["embedding_b"], p["overlap"], p["recommended"]) for p in rep["pairs"]]
+    assert pairs[-1] == ("one", "two", None, False)
+    assert all(overlap is not None for _, _, overlap, _ in pairs[:-1])
+    code, out, _ = run(capsys, "recommend", *args, *common, "--format", "text")
+    assert code == 0 and out.splitlines()[3].split() == ["one", "two", "None", "40", "40", "False"]
+    code, _, err = run(capsys, "recommend", *args[:4], *common)
+    assert code == 1 and "no shared queries" in err
+
 def test_score_cli(capsys, tmp_path):
     gold = tmp_path / "gold.conll"
     gold.write_text("Mary B-PER\nruns O\n\nParis B-LOC\n")

@@ -482,13 +482,27 @@ def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
 
 
 def test_recommend_errors_follow_pair_order():
-    # pair (a, b) shares no query, and c is too small for k: the first
-    # pair's error wins, as when each pair was searched in turn
+    # c and d are too small for k: the first pair with one of them names it,
+    # as when each pair was searched in turn
+    a = make_table("a", ["x", "y", "z"], np.eye(3))
+    c = make_table("c", ["x", "p"], np.eye(2))
+    d = make_table("d", ["x", "q"], np.eye(2))
+    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    with pytest.raises(DataError, match="out of range for table 'c'"):
+        recommend([a, c, d], counts, counts, k=2, n=2)
+    with pytest.raises(DataError, match="out of range for table 'd'"):
+        recommend([a, d, c], counts, counts, k=2, n=2)
+
+
+def test_recommend_leaves_a_pair_without_shared_queries_unscored():
+    # a and b share no query, though each shares one with c
     a = make_table("a", ["x", "y", "z"], np.eye(3))
     b = make_table("b", ["p", "q", "r"], np.eye(3))
-    c = make_table("c", ["x", "p"], np.eye(2))
+    c = make_table("c", ["x", "p", "s"], np.eye(3))
     counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    verdicts = recommend([a, b, c], counts, counts, tau_cov=0.0, k=1, n=2)
+    assert [(v.embedding_a, v.embedding_b) for v in verdicts] == [("a", "c"), ("b", "c"), ("a", "b")]
+    assert [v.overlap is None for v in verdicts] == [False, False, True]
+    assert not verdicts[2].recommended and verdicts[2].min_attested == 50.0
     with pytest.raises(DataError, match="no shared queries"):
-        recommend([a, b, c], counts, counts, k=2, n=2)
-    with pytest.raises(DataError, match="out of range for table 'c'"):
-        recommend([a, c, b], counts, counts, k=2, n=2)
+        recommend([a, b], counts, counts, k=1, n=2)

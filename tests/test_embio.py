@@ -1,12 +1,19 @@
+import logging
 import os
 import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import glove_text_reference, make_table, random_table, tables_equal
+from conftest import (
+    glove_text_reference,
+    make_table,
+    random_table,
+    read_glove_text_reference,
+    tables_equal,
+)
 from embcat import embio
 from embcat.embio import (
     EmbeddingTable,
@@ -296,6 +303,230 @@ def test_nbsp_token_preserved(tmp_path):
     p.write_text("x y 1 2\n", encoding="utf-8")
     t = read_embeddings(p)
     assert t.words == ("x y",)
+
+
+# ---------------------------------------------------------------------------
+# block text reader: the same tables, warnings and errors as one line at a time
+
+
+def _outcome(read, path):
+    """("table", words, shape, vector bits, duplicates, warnings) of what
+    `read(path)` returns, or ("error", message) of the DataError it raises."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    embio.log.addHandler(handler)
+    try:
+        t = read(path)
+    except DataError as e:
+        return ("error", str(e))
+    finally:
+        embio.log.removeHandler(handler)
+    warnings = [r.getMessage() for r in records]
+    return ("table", t.words, t.vectors.shape, t.vectors.tobytes(), t.n_duplicates, warnings)
+
+
+def _read_both(path, header: bool, strict: bool):
+    """The block reader's outcome, asserted equal to the reference's."""
+    fmt = Format.GLOVE_TEXT_HEADER if header else Format.GLOVE_TEXT
+    got = _outcome(lambda p: read_embeddings(p, fmt, name="t", strict=strict), path)
+    want = _outcome(lambda p: read_glove_text_reference(p, "t", header, strict), path)
+    assert got == want
+    return got
+
+
+# values each path must read alike or reject alike: loadtxt and float()
+# disagree on some of them, and some are not finite at float32
+_odd_value_st = st.sampled_from(
+    ["", "x", "-", "1e", "1.2.3", "inf", "-nan", "1e400", "1e39", "3.4028236e38", "1e-50",
+     "1_0", "١", "１", "1\x1c", "\x1f2", "\t2", "2\t", "　3", "1\r2", "+.5",
+     "5.", "1E5", "-0"]
+)
+_value_st = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-999, 999).map(str),
+)
+_token_st = st.one_of(
+    st.sampled_from(["a", "b", "c"]),
+    st.text(
+        alphabet=st.characters(blacklist_characters=" \n\r", blacklist_categories=("Cs",)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@st.composite
+def _glove_text_st(draw, utf8_faults: bool):
+    """(file bytes, whether to read a header): GloVe text, mostly regular;
+    an odd file may hold irregular tokens, values, spacing and lines."""
+    dim = draw(st.integers(1, 3))
+    odd = draw(st.booleans())
+    value = st.one_of(_value_st, _odd_value_st) if odd else _value_st
+    token = st.one_of(_token_st, st.sampled_from(["", "x y", "a\rb"])) if odd else _token_st
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = dim + (draw(st.sampled_from([0, 0, 0, -1, 1])) if odd else 0)
+        sep = draw(st.sampled_from([" ", " ", " ", "  "])) if odd else " "
+        line = draw(token) + " " + sep.join(draw(st.lists(value, min_size=k, max_size=k)))
+        if odd and draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from(["", "a", " ", line + " "]))
+        lines.append(line)
+    header = draw(st.booleans())
+    if header:
+        count = len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines.insert(0, draw(st.sampled_from([f"{count} {dim}", f"{count} {dim}", "x 2", "3 0"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    data = text.encode("utf-8")
+    if utf8_faults and data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, header
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_glove_text_st(utf8_faults=True), strict=st.booleans())
+def test_text_reader_matches_the_line_reference(tmp_path_factory, case, strict):
+    data, header = case
+    p = tmp_path_factory.mktemp("text") / "t.txt"
+    p.write_bytes(data)
+    _read_both(p, header, strict)
+
+
+# a file here is smaller than a block, so an undecodable byte is found before
+# any other fault, as the reference finds it; with small blocks a fault in an
+# earlier block may come first, so these files stay valid UTF-8
+@pytest.mark.parametrize("read_bytes", [1, 6, 40])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_glove_text_st(utf8_faults=False), strict=st.booleans())
+def test_small_blocks_read_like_the_line_reference(
+    tmp_path_factory, monkeypatch, read_bytes, case, strict
+):
+    monkeypatch.setattr(embio, "_READ_BYTES", read_bytes)
+    data, header = case
+    p = tmp_path_factory.mktemp("text") / "t.txt"
+    p.write_bytes(data)
+    _read_both(p, header, strict)
+
+
+def _blocks(monkeypatch, tmp_path, text, read_bytes):
+    """Write `text` and cut its reads at `read_bytes`; the returned list
+    records the first line number of each block read line by line."""
+    monkeypatch.setattr(embio, "_READ_BYTES", read_bytes)
+    p = tmp_path / "blocks.txt"
+    p.write_bytes(text.encode("utf-8"))
+    starts = []
+    parse = embio._parse_lines
+
+    def spy(path, start, lines, dim, strict):
+        starts.append(start + 1)
+        return parse(path, start, lines, dim, strict)
+
+    monkeypatch.setattr(embio, "_parse_lines", spy)
+    return p, starts
+
+
+def test_a_line_across_reads(monkeypatch, tmp_path):
+    # every line is longer than a read, so each is joined from several
+    text = "".join(f"word{i} {i}.5 -{i}.25 1e-3\n" for i in range(6))
+    p, starts = _blocks(monkeypatch, tmp_path, text, 5)
+    kind, words, shape, bits, dups, _ = _read_both(p, header=False, strict=True)
+    assert words == tuple(f"word{i}" for i in range(6)) and shape == (6, 3)
+    assert np.frombuffer(bits, np.float32)[3:6].tolist() == [1.5, -1.25, np.float32(1e-3)]
+    assert starts == []
+
+
+@pytest.mark.parametrize("read_bytes", [8, 13, 1 << 20])
+def test_crlf_and_a_missing_final_newline(monkeypatch, tmp_path, read_bytes):
+    p, starts = _blocks(monkeypatch, tmp_path, "a 1 2\r\nb 3 4\r\nc 5 6", read_bytes)
+    t = read_embeddings(p)
+    assert t.words == ("a", "b", "c")
+    assert np.array_equal(t.vectors, [[1, 2], [3, 4], [5, 6]])
+    assert starts == []
+    _read_both(p, header=False, strict=True)
+
+
+def test_a_folded_token_in_a_later_block(monkeypatch, tmp_path):
+    # GloVe 840B: a token with a space, two blocks in; only its block goes
+    # line by line
+    text = "a 1 2\nb 3 4\nc 5 6\n. . 7 8\nd 9 10\n"
+    p, starts = _blocks(monkeypatch, tmp_path, text, 12)
+    t = read_embeddings(p)
+    assert t.words == ("a", "b", "c", ". .", "d")
+    assert np.array_equal(t.vectors[3], [7, 8])
+    assert starts == [4]
+    _read_both(p, header=False, strict=False)
+    starts.clear()
+    with pytest.raises(DataError, match=r"blocks\.txt:4: expected 2 vector values, found 3$"):
+        read_embeddings(p, strict=True)
+
+
+def test_duplicates_across_blocks(monkeypatch, tmp_path, caplog):
+    text = "a 1 1\nb 2 2\na 3 3\nc 4 4\nb 5 5\nb 6 6\nd 7 7\n"
+    p, starts = _blocks(monkeypatch, tmp_path, text, 12)
+    with caplog.at_level("WARNING"):
+        t = read_embeddings(p)
+    assert t.words == ("a", "b", "c", "d") and t.n_duplicates == 3
+    assert np.array_equal(t.vectors[:, 0], [1, 2, 4, 7])
+    assert any("dropped 3 duplicate tokens" in r.message for r in caplog.records)
+    assert starts == []
+    _read_both(p, header=False, strict=True)
+
+
+def test_an_error_in_block_3_names_its_line(monkeypatch, tmp_path):
+    # blocks of two 6-byte lines: lines 5 and 6 are block 3
+    text = "a 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 0\nf 1 x\ng 2 3\n"
+    p, starts = _blocks(monkeypatch, tmp_path, text, 12)
+    with pytest.raises(DataError, match=r"blocks\.txt:6: unparseable vector value$"):
+        read_embeddings(p)
+    assert starts == [5]
+    _read_both(p, header=False, strict=False)
+
+
+@pytest.mark.parametrize("declared", [2, 4])
+def test_header_count_mismatch_across_blocks(monkeypatch, tmp_path, declared):
+    p, starts = _blocks(monkeypatch, tmp_path, f"{declared} 2\na 1 2\nb 3 4\nc 5 6\n", 7)
+    assert _read_both(p, header=True, strict=False)[1] == ("a", "b", "c")
+    with pytest.raises(DataError, match=f"declares {declared} records, file holds 3$"):
+        read_embeddings(p, Format.GLOVE_TEXT_HEADER, strict=True)
+    assert starts == []
+
+
+def test_short_first_lines_grow_the_matrix(monkeypatch, tmp_path):
+    # the first block's lines are long, so the row estimate falls short of
+    # the file's many short lines
+    text = "first " + " ".join(["0.123456789"] * 2) + "\n"
+    text += "".join(f"w{i} {i} {-i}\n" for i in range(200))
+    p, _ = _blocks(monkeypatch, tmp_path, text, 32)
+    t = read_embeddings(p)
+    assert len(t) == 201 and t.vectors[200].tolist() == [199, -199]
+    _read_both(p, header=False, strict=True)
+
+
+@pytest.mark.parametrize("fmt", [Format.GLOVE_TEXT, Format.GLOVE_TEXT_HEADER, Format.WORD2VEC_BINARY])
+def test_readers_hand_over_the_matrix_they_fill(tmp_path, monkeypatch, fmt):
+    # the table holds the array the reader preallocated, trimmed in place
+    # past a dropped duplicate, not a copy of it
+    filled = []
+    preallocate = embio._preallocate
+
+    def spy(rows, dim):
+        filled.append(preallocate(rows, dim))
+        return filled[-1]
+
+    monkeypatch.setattr(embio, "_preallocate", spy)
+    records = [("a", [1, 0, 0]), ("b", [0, 1, 0]), ("c", [1, 1, 0]), ("a", [0, 0, 1])]
+    p = tmp_path / "t"
+    if fmt is Format.WORD2VEC_BINARY:
+        p.write_bytes(_w2v_bytes(records, 3))
+    else:
+        body = "".join(f"{w} {' '.join(map(str, v))}\n" for w, v in records)
+        p.write_text(("4 3\n" if fmt is Format.GLOVE_TEXT_HEADER else "") + body)
+    t = read_embeddings(p, fmt)
+    assert t.vectors is filled[0] and t.n_duplicates == 1
+    assert t.words == ("a", "b", "c") and np.array_equal(t.vectors, [r[1] for r in records[:3]])
 
 
 # ---------------------------------------------------------------------------
