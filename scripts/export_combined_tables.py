@@ -36,7 +36,6 @@ def main(argv=None):
     parser.add_argument("--second", type=Path, help="second table (default: senna.txt)")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--min-count", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args(argv)
 
     first = args.first or args.data / "glove.6B.100d.txt"
@@ -71,7 +70,6 @@ def main(argv=None):
                     "--seed", str(args.seed),
                     "--min-count", str(args.min_count),
                     "--add-special-tokens",
-                    "--threads", str(args.threads),
                 ]
             )
             if code != 0:

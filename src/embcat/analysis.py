@@ -18,7 +18,7 @@ those cached neighbor sets.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +31,6 @@ from .errors import DataError
 # from thread count) so chunk boundaries, and therefore every floating-point
 # intermediate, are reproducible
 CHUNK_ROWS = 65536
-
-
-def span_map(fn, n: int, span: int, threads: int) -> list:
-    """`fn(lo, hi)` over the consecutive spans of `span` rows that cover
-    range(n), results in span order. Span bounds depend on `span` alone,
-    never on `threads`, so results are identical for any thread count."""
-    spans = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: fn(*s), spans))
-    return [fn(*s) for s in spans]
 
 
 @dataclass(frozen=True)
@@ -199,10 +188,17 @@ def _batch_topk(
     q_norms = np.sqrt(np.einsum("ij,ij->i", q_vec, q_vec))
     q_mat = q_vec.T  # (dim, queries)
 
-    def work(lo, hi):
+    # the GEMM releases the GIL, so chunks run in parallel
+    def work(lo):
+        hi = min(lo + CHUNK_ROWS, n)
         return _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
 
-    per_chunk = span_map(work, n, CHUNK_ROWS, threads)
+    starts = range(0, n, CHUNK_ROWS)
+    if threads > 1 and len(starts) > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            per_chunk = list(pool.map(work, starts))
+    else:
+        per_chunk = [work(lo) for lo in starts]
 
     results = []
     words = table.words

@@ -86,6 +86,30 @@ def _load_table(arg: str, fmt: Format | None, strict: bool = False):
     return table, path
 
 
+def _load_tables(args):
+    """Every --emb table in order, and its path keyed "emb:<name>"."""
+    tables = []
+    paths = {}
+    for emb in args.emb:
+        table, path = _load_table(emb, args.emb_format)
+        tables.append(table)
+        paths[f"emb:{table.name}"] = path
+    return tables, paths
+
+
+def _parse_splits(spec: str | None) -> list[str] | None:
+    """The --splits filter, names from SPLITS; None keeps every dataset."""
+    if spec is None:
+        return None
+    splits = [s.strip() for s in spec.split(",") if s.strip()]
+    if not splits:
+        raise ValueError(f"--splits names no split, got {spec!r}")
+    for split in splits:
+        if split not in SPLITS:
+            raise ValueError(f"--splits: unknown split {split!r}; expected names from {SPLITS}")
+    return splits
+
+
 def _parse_normalize(spec: str) -> bool:
     """The --normalize lookup chain, "exact" or "exact,lowercase": whether
     lookups fold case."""
@@ -100,6 +124,14 @@ def _count_normalization(args) -> str:
     if args.raw:
         return "exact"
     return "lowercase" if args.fold_case else "exact"
+
+
+def _train_dev_counts(args):
+    """Type counts of --train and --dev; both are read before either is counted."""
+    norm = _count_normalization(args)
+    train_ds = _read_dataset(args, args.train, "train")
+    dev_ds = _read_dataset(args, args.dev, "dev")
+    return vocab_counts(train_ds, norm), vocab_counts(dev_ds, norm)
 
 
 def _read_dataset(args, path: str, split: str = "other"):
@@ -250,14 +282,12 @@ def _cmd_similarity(args):
 def _cmd_pair_report(args):
     table_a, path_a = _load_table(args.emb_a, args.emb_format)
     table_b, path_b = _load_table(args.emb_b, args.emb_format)
-    norm = _count_normalization(args)
-    train_ds = _read_dataset(args, args.train, "train")
-    dev_ds = _read_dataset(args, args.dev, "dev")
+    train, dev = _train_dev_counts(args)
     row = pair_report(
         table_a,
         table_b,
-        vocab_counts(train_ds, norm),
-        vocab_counts(dev_ds, norm),
+        train,
+        dev,
         args.k,
         args.top_n,
         args.fold_case,
@@ -271,24 +301,19 @@ def _cmd_pair_report(args):
 
 
 def _cmd_combine(args):
-    tables = []
-    paths = {}
-    for emb in args.emb:
-        table, path = _load_table(emb, args.emb_format)
-        tables.append(table)
-        paths[f"emb:{table.name}"] = path
+    splits = _parse_splits(args.splits)
+    tables, paths = _load_tables(args)
     datasets = []
     for spec in args.data:
         split, path = _parse_data_arg(spec)
         datasets.append(_read_dataset(args, path, split))
         paths[f"data:{path}"] = path
-    splits = args.splits.split(",") if args.splits else None
     vocab = model_vocab(datasets, splits, args.min_count, _count_normalization(args))
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
     policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
-    table = combine(tables, vocab, policy, backfill, args.fold_case, threads=args.threads)
+    table = combine(tables, vocab, policy, backfill, args.fold_case)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
     manifest = _manifest(args, paths)
@@ -337,19 +362,12 @@ def _cmd_combine(args):
 def _cmd_recommend(args):
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
-    tables = []
-    paths = {}
-    for emb in args.emb:
-        table, path = _load_table(emb, args.emb_format)
-        tables.append(table)
-        paths[f"emb:{table.name}"] = path
-    norm = _count_normalization(args)
-    train_ds = _read_dataset(args, args.train, "train")
-    dev_ds = _read_dataset(args, args.dev, "dev")
+    tables, paths = _load_tables(args)
+    train, dev = _train_dev_counts(args)
     verdicts = recommend(
         tables,
-        vocab_counts(train_ds, norm),
-        vocab_counts(dev_ds, norm),
+        train,
+        dev,
         args.tau_sim,
         args.tau_cov,
         args.k,
@@ -486,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: EMBCAT_THREADS or all cores)",
+        help="worker threads of the k-NN search (default: EMBCAT_THREADS or all cores)",
     )
     run.add_argument(
         "--raw", action="store_true", help="count types without lookup normalization"

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coverage, pairwise_similarity, span_map
+from .analysis import coverage, pairwise_similarity
 from .corpus import VocabCounts, top_n_types, vocab_counts
 from .embio import EmbeddingTable, RandomBackfill, random_vector, resolve_index
 from .errors import DataError
 
 COMBINE_KINDS = ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond")
-
-# rows per fill job when combine parallelizes; fixed so the work split
-# never depends on thread count
-_FILL_ROWS = 8192
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -68,11 +64,9 @@ class ModelVocab:
 
     types: tuple[str, ...]
     counts: dict[str, int]
-    source_splits: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "source_splits", tuple(self.source_splits))
         if not self.types:
             raise ValueError("model vocabulary is empty")
         if len(set(self.types)) != len(self.types):
@@ -105,16 +99,14 @@ def model_vocab(
     if not chosen:
         raise DataError("no datasets selected for the model vocabulary")
     merged: dict[str, int] = {}
-    used_splits = []
     for ds in chosen:
-        used_splits.append(ds.split)
         for t, c in vocab_counts(ds, normalization).counts.items():
             merged[t] = merged.get(t, 0) + c
     kept = {t: c for t, c in merged.items() if c >= min_count}
     if not kept:
         raise DataError(f"no types reach min_count={min_count}")
     ordered = tuple(t for t, _ in sorted(kept.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ModelVocab(ordered, kept, tuple(used_splits))
+    return ModelVocab(ordered, kept)
 
 
 def combine(
@@ -123,8 +115,6 @@ def combine(
     policy: CombinePolicy,
     backfill: RandomBackfill,
     fold_case: bool = True,
-    *,
-    threads: int = 1,
 ) -> EmbeddingTable:
     """One output row per vocabulary type: the concatenation, over source
     tables, of the looked-up row or the keyed random backfill vector.
@@ -140,7 +130,7 @@ def combine(
       MatchedSecond    - the random vector when the token is outside the
                          first vocabulary, so only the overlap stays
                          pretrained.
-    Output is deterministic for a fixed seed regardless of thread count.
+    Output depends only on the inputs and the backfill seed.
     """
     if not tables:
         raise DataError("need at least one source table")
@@ -163,27 +153,22 @@ def combine(
     dims = [t.dim for t in tables]
     offsets = np.concatenate([[0], np.cumsum(dims)])
     out = np.empty((len(vocab), int(offsets[-1])), np.float32)
-    types = vocab.types
-
-    def fill(lo, hi):
-        for ti, table in enumerate(tables):
-            off = int(offsets[ti])
-            end = off + table.dim
-            for r in range(lo, hi):
-                hit = resolve_index(table, types[r], fold_case)
-                if hit is None:
-                    key = types[r]
-                elif ti == policy.applies_to and replaces(table.words[hit[0]]):
-                    # keyed by the row's token, not the type: "The" and
-                    # "the" resolving to one row share its replacement
-                    key = table.words[hit[0]]
-                else:
-                    out[r, off:end] = table.vectors[hit[0]]
-                    continue
-                out[r, off:end] = random_vector(backfill, table.name, key, table.dim)
-
-    span_map(fill, len(types), _FILL_ROWS, threads)
-    return EmbeddingTable("+".join(names), types, out)
+    for ti, table in enumerate(tables):
+        off = int(offsets[ti])
+        end = off + table.dim
+        for r, typ in enumerate(vocab.types):
+            hit = resolve_index(table, typ, fold_case)
+            if hit is None:
+                key = typ
+            elif ti == policy.applies_to and replaces(table.words[hit[0]]):
+                # keyed by the row's token, not the type: "The" and
+                # "the" resolving to one row share its replacement
+                key = table.words[hit[0]]
+            else:
+                out[r, off:end] = table.vectors[hit[0]]
+                continue
+            out[r, off:end] = random_vector(backfill, table.name, key, table.dim)
+    return EmbeddingTable("+".join(names), vocab.types, out)
 
 
 def with_special_tokens(vocab: ModelVocab) -> ModelVocab:
@@ -194,7 +179,6 @@ def with_special_tokens(vocab: ModelVocab) -> ModelVocab:
     return ModelVocab(
         (PAD_TOKEN, UNK_TOKEN, *vocab.types),
         {PAD_TOKEN: 0, UNK_TOKEN: 0, **vocab.counts},
-        vocab.source_splits,
     )
 
 

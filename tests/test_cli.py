@@ -448,6 +448,56 @@ def test_combine_cli_concat_rejects_applies_to(capsys, tmp_path, conll_file):
     assert not out.exists()
 
 
+def test_combine_splits_strip_whitespace(capsys, tmp_path, conll_file):
+    emb = tmp_path / "e.glove"
+    emb.write_text("eu 1 1\n")
+    dev = tmp_path / "dev.conll"
+    dev.write_text("Paris NNP B-LOC\n")
+    data = ["--data", f"train={conll_file}", "--data", f"dev={dev}"]
+    for splits, vocab in (("train", 5), ("train, dev", 6), (" dev ,train ", 6)):
+        rep = run_json(
+            capsys,
+            "combine", "--emb", str(emb), *data, "--out", str(tmp_path / "c.glove"),
+            "--splits", splits, "--stable",
+        )
+        assert rep["vocab"] == vocab, splits
+
+
+@pytest.mark.parametrize(
+    "splits, named", [("train,trian", "'trian'"), ("train, Dev", "'Dev'"), (" , ", "no split")]
+)
+def test_combine_rejects_bad_splits_before_reading(capsys, tmp_path, splits, named):
+    # the inputs do not exist: a usage error must come before any read
+    code, out, err = run(
+        capsys,
+        "combine", "--emb", str(tmp_path / "missing.glove"),
+        "--data", f"train={tmp_path / 'missing.conll'}",
+        "--out", str(tmp_path / "c.glove"), "--splits", splits,
+    )
+    assert code == 2 and out == ""
+    assert "--splits" in err and named in err
+
+
+def test_combine_threads_change_only_the_recorded_option(capsys, tmp_path, conll_file):
+    emb1 = tmp_path / "one.glove"
+    emb1.write_text("eu 1 0\nEU 2 2\npeter 0 1\n")
+    emb2 = tmp_path / "two.glove"
+    emb2.write_text("eu 5 5 5\ngerman 7 7 7\n")
+    out = tmp_path / "c.glove"
+    runs = []
+    for threads in ("1", "4"):
+        rep = run_json(
+            capsys,
+            "combine", "--emb", str(emb1), "--emb", str(emb2), "--data", conll_file,
+            "--out", str(out), "--policy", "complement-second", "--stable",
+            "--threads", threads,
+        )
+        assert rep["manifest"]["options"].pop("threads") == int(threads)
+        sidecar = (tmp_path / "c.glove.manifest.json").read_bytes()
+        runs.append((rep, out.read_bytes(), sidecar))
+    assert runs[0] == runs[1]
+
+
 def test_recommend_cli(capsys, tmp_path, conll_file):
     emb1 = tmp_path / "one.glove"
     emb1.write_text("eu 1 0\ngerman 0 1\npeter 1 1\nrejects 1 2\nblackburn 2 1\n")

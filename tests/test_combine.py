@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +29,6 @@ from embcat.corpus import (
 )
 from embcat.embio import RandomBackfill, random_vector
 from embcat.errors import DataError
-
-# the package attribute embcat.combine is the combine function
-combine_module = importlib.import_module("embcat.combine")
 
 BF = RandomBackfill(20240817)
 
@@ -82,7 +77,6 @@ def test_model_vocab_splits_selector():
     assert model_vocab([train, test]).types == ("x", "y")
     v = model_vocab([train, test], splits=["train"])
     assert v.types == ("x",)
-    assert v.source_splits == ("train",)
     with pytest.raises(DataError):
         model_vocab([train], splits=["dev"])
 
@@ -233,10 +227,9 @@ def _reference_combine(tables, types, policy, fold_case):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_combine_ablations_match_whole_table_rewrite(monkeypatch, threads):
-    # several fill spans per call, cased types resolving to lowercase rows,
-    # and a third table so the first vocabulary is a union
+def test_combine_ablations_match_whole_table_rewrite():
+    # cased types resolving to lowercase rows, and a third table so the
+    # first vocabulary is a union
     rng = np.random.default_rng(41)
     words = [f"w{i:02d}" for i in range(12)]
     tables = [
@@ -246,16 +239,14 @@ def test_combine_ablations_match_whole_table_rewrite(monkeypatch, threads):
     ]
     types = ("The", "the", "Dog", "dog", "Cat", "CAT", "cat", "zz", *words)
     vocab = mv(*types)
-    for fill_rows in (2, 3):
-        monkeypatch.setattr(combine_module, "_FILL_ROWS", fill_rows)
-        for kind in COMBINE_KINDS:
-            for idx in (None,) if kind == "Concat" else (1, 2):
-                policy = CombinePolicy(kind, idx)
-                for fold_case in (True, False):
-                    out = combine(tables, vocab, policy, BF, fold_case, threads=threads)
-                    want = _reference_combine(tables, types, policy, fold_case)
-                    assert out.words == types
-                    assert np.array_equal(out.vectors, want), (fill_rows, policy, fold_case)
+    for kind in COMBINE_KINDS:
+        for idx in (None,) if kind == "Concat" else (1, 2):
+            policy = CombinePolicy(kind, idx)
+            for fold_case in (True, False):
+                out = combine(tables, vocab, policy, BF, fold_case)
+                want = _reference_combine(tables, types, policy, fold_case)
+                assert out.words == types
+                assert np.array_equal(out.vectors, want), (policy, fold_case)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +345,6 @@ def test_combine_projection_property():
             row = out.row(typ)
             assert _is_lookup_or_backfill(row[:3], a, typ)
             assert _is_lookup_or_backfill(row[3:], src_b, typ)
-
-
-def test_combine_thread_determinism():
-    rng = np.random.default_rng(9)
-    a = random_table(rng, name="A", n=40, dim=5)
-    b = random_table(rng, name="B", n=30, dim=3)
-    vocab = mv(*(f"w{i:04d}" for i in range(45)))
-    base = combine([a, b], vocab, CombinePolicy(), BF, threads=1)
-    for threads in (2, 4, 8):
-        again = combine([a, b], vocab, CombinePolicy(), BF, threads=threads)
-        assert np.array_equal(base.vectors, again.vectors)
 
 
 # ---------------------------------------------------------------------------
