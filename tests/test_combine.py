@@ -227,10 +227,12 @@ def _reference_combine(tables, types, policy, fold_case):
     return np.array(rows)
 
 
-def test_combine_ablations_match_whole_table_rewrite():
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_combine_ablations_match_whole_table_rewrite(seed):
     # cased types resolving to lowercase rows, and a third table so the
-    # first vocabulary is a union
-    rng = np.random.default_rng(41)
+    # first vocabulary is a union; the seed draws the vectors and the
+    # order of the vocabulary's types
+    rng = np.random.default_rng(seed)
     words = [f"w{i:02d}" for i in range(12)]
     tables = [
         make_table("A", words[:8] + ["The", "Dog"], rng.standard_normal((10, 3))),
@@ -238,6 +240,7 @@ def test_combine_ablations_match_whole_table_rewrite():
         make_table("C", words[::2] + ["the", "cat"], rng.standard_normal((8, 4))),
     ]
     types = ("The", "the", "Dog", "dog", "Cat", "CAT", "cat", "zz", *words)
+    types = tuple(types[i] for i in rng.permutation(len(types)))
     vocab = mv(*types)
     for kind in COMBINE_KINDS:
         for idx in (None,) if kind == "Concat" else (1, 2):
