@@ -77,9 +77,10 @@ def main(argv=None):
     print("pair recommendation (overlap < 30.0 and min train coverage >= 70.0):")
     for v in recommend([glove6b, senna, glove840b, gnews], train, dev, threads=args.threads):
         tag = "recommended" if v.recommended else "rejected"
+        overlap = "not scored" if v.overlap is None else f"{v.overlap:.1f}"
         print(
             f"  {v.embedding_a} + {v.embedding_b}: {tag}"
-            f" (overlap {v.overlap:.1f}, min attested {v.min_attested:.1f})"
+            f" (overlap {overlap}, min attested {v.min_attested:.1f})"
         )
 
     print(f"\n{time.monotonic() - t0:.0f}s total")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import codecs
 import functools
 import hashlib
+import itertools
 import logging
 import mmap
 import os
@@ -61,8 +62,9 @@ class RandomBackfill:
     def __post_init__(self):
         if not -(2**63) <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} does not fit in 64 bits")
-        if not self.low < self.high:
-            raise ValueError(f"need low < high, got [{self.low}, {self.high})")
+        # numpy's uniform draw needs a finite width
+        if not (self.low < self.high and np.isfinite(self.high - self.low)):
+            raise ValueError(f"need low < high, high - low finite, got [{self.low}, {self.high})")
         lo, hi = _float32_range(self.low, self.high)
         if lo > hi:
             raise ValueError(f"no float32 value lies in [{self.low}, {self.high})")
@@ -282,71 +284,68 @@ _VALUE_BYTES = b"0123456789+-.eE\r\n"
 
 
 def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
-    """Parse GloVe text a block of lines at a time: a block whose lines are
-    all plain goes through numpy's loadtxt, any other through _parse_lines,
-    which reads each line on its own and names the first bad one."""
+    with utf8_input(path), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        texts = _line_blocks(f)
+        text = next(texts, None)
+        if text is None:
+            raise DataError(f"{path}: no embedding records")
+        line = text.partition("\n")[0].rstrip("\r")
+        declared = None
+        if header:
+            hdr = _two_ints(line.encode("utf-8", "surrogateescape"))
+            if hdr is None:
+                raise DataError(f"{path}:1: expected '<vocab> <dim>' header, got {line!r}")
+            declared, dim = hdr
+            if dim < 1:
+                raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
+            want = max(declared, 1)
+            # the lines after the header, if the first block holds any
+            texts = itertools.chain(text.split("\n", 1)[1:], texts)
+        else:
+            if not line:
+                raise DataError(f"{path}:1: blank line inside embedding file")
+            dim = len(line.split(" ")) - 1
+            if dim < 1:
+                raise DataError(f"{path}:1: expected token and vector, got {line!r}")
+            # the rows the first block's share of the file suggests, and a
+            # quarter to spare
+            want = size * (text.count("\n") + 1) // len(text) * 5 // 4 + 1
+            texts = itertools.chain([text], texts)
+        # preallocate no more rows than the file can hold: each record is at
+        # least a token byte plus dim " v" pairs, so with no room for one, no
+        # record can parse and none is ever stored
+        rows = min(want, size // (2 * dim + 1))
+        blocks = _text_blocks(path, texts, int(header), dim, strict)
+        return _collect(path, name, blocks, rows, dim, declared, strict)
+
+
+def _collect(path, name, blocks, rows: int, dim: int, declared: int | None, strict: bool):
+    """The table of `blocks`, (tokens, float32 values) of records in file
+    order, kept first per token in a matrix preallocated for `rows` rows;
+    then the checks against the header's `declared` count, if any."""
     words: list[str] = []
     seen: set[str] = set()
     dups = 0
-    dim: int | None = None
-    declared: int | None = None
-    mat: np.ndarray | None = None
+    mat = _preallocate(rows, dim)
     n = 0
-    lineno = 0  # lines before the block
-    with utf8_input(path), open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        for text in _line_blocks(f):
-            lines = text.split("\n")
-            if dim is None:
-                line = lines[0].rstrip("\r")
-                if header:
-                    hdr = _two_ints(line.encode("utf-8", "surrogateescape"))
-                    if hdr is None:
-                        raise DataError(f"{path}:1: expected '<vocab> <dim>' header, got {line!r}")
-                    declared, dim = hdr
-                    if dim < 1:
-                        raise DataError(f"{path}:1: header dim must be >= 1, got {dim}")
-                    want = max(declared, 1)
-                    lines = lines[1:]
-                    text = text.partition("\n")[2]
-                    lineno = 1
-                else:
-                    if not line:
-                        raise DataError(f"{path}:1: blank line inside embedding file")
-                    dim = len(line.split(" ")) - 1
-                    if dim < 1:
-                        raise DataError(f"{path}:1: expected token and vector, got {line!r}")
-                    # the rows the first block's share of the file suggests,
-                    # and a quarter to spare
-                    want = size * len(lines) // len(text) * 5 // 4 + 1
-                # preallocate no more rows than the file can hold: each
-                # record is at least a token byte plus dim " v" pairs, so
-                # with no room for one, no record can parse and none is
-                # ever stored
-                mat = _preallocate(min(want, size // (2 * dim + 1)), dim)
-            if not lines:
-                continue
-            block = _plain_block(text, lines, dim)
-            if block is None:
-                block = _parse_lines(path, lineno, lines, dim, strict)
-            lineno += len(lines)
-            tokens, vals = block
-            # keep-first: each token's first row in the block, unless an
-            # earlier block holds the token
-            first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
-            for token in first.keys() & seen:
-                del first[token]
-            seen.update(first)
-            if len(first) < len(tokens):
-                keep = sorted(first.values())
-                dups += len(tokens) - len(keep)
-                tokens = [tokens[i] for i in keep]
-                vals = vals[keep]
-            if n + len(vals) > len(mat):
-                mat.resize((max(n + len(vals), len(mat) * 3 // 2), dim), refcheck=False)
-            mat[n : n + len(vals)] = vals
-            words += tokens
-            n += len(vals)
+    for tokens, vals in blocks:
+        # keep-first: each token's first row in the block, unless an
+        # earlier block holds the token
+        first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
+        for token in first.keys() & seen:
+            del first[token]
+        seen.update(first)
+        if len(first) < len(tokens):
+            keep = sorted(first.values())
+            dups += len(tokens) - len(keep)
+            tokens = [tokens[i] for i in keep]
+            vals = vals[keep]
+        if n + len(vals) > len(mat):
+            mat.resize((max(n + len(vals), len(mat) * 3 // 2), dim), refcheck=False)
+        mat[n : n + len(vals)] = vals
+        words += tokens
+        n += len(vals)
     if n == 0:
         raise DataError(f"{path}: no embedding records")
     if declared is not None and n + dups != declared:
@@ -359,6 +358,19 @@ def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
     # no view of mat exists, so it may shrink in place
     mat.resize((n, dim), refcheck=False)
     return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
+
+
+def _text_blocks(path, texts, lineno: int, dim: int, strict: bool):
+    """Parse each run of lines in `texts`, from line lineno + 1 on: with
+    numpy's loadtxt if all its lines are plain, else with _parse_lines,
+    which reads each line on its own and names the first bad one."""
+    for text in texts:
+        lines = text.split("\n")
+        block = _plain_block(text, lines, dim)
+        if block is None:
+            block = _parse_lines(path, lineno, lines, dim, strict)
+        lineno += len(lines)
+        yield block
 
 
 def _line_blocks(f):
@@ -447,7 +459,8 @@ def _parse_lines(path, start: int, lines: list[str], dim: int, strict: bool):
         if not token:
             raise DataError(f"{path}:{lineno}: empty token")
         try:
-            vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
+            with np.errstate(over="ignore"):
+                vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparseable vector value") from None
         if not np.isfinite(vec).all():
@@ -461,7 +474,6 @@ def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
     if os.path.getsize(path) == 0:
         raise DataError(f"{path}: empty file")
     with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        size = mm.size()
         nl = mm.find(b"\n", 0, 128)
         if nl < 0:
             raise DataError(f"{path}: missing '<vocab> <dim>' header line")
@@ -471,72 +483,59 @@ def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
         declared, dim = hdr
         if declared < 1 or dim < 1:
             raise DataError(f"{path}: header declares vocab {declared}, dim {dim}")
-        rec_bytes = 4 * dim
-        words: list[str] = []
-        index: dict[str, int] = {}
-        dups = 0
         # preallocate no more rows than the file can hold: each record is
         # at least a token byte, a space and dim float32 values
-        fits = (size - nl - 1) // (rec_bytes + 2)
-        mat = _preallocate(min(declared, fits), dim)
-        n = 0
-        pos = nl + 1
-        read_recs = 0
-        while read_recs < declared:
-            while pos < size and mm[pos] in (0x20, 0x0A):
+        rows = min(declared, (mm.size() - nl - 1) // (4 * dim + 2))
+        blocks = _w2v_blocks(path, mm, nl + 1, declared, dim, strict)
+        return _collect(path, name, blocks, rows, dim, declared, strict)
+
+
+def _w2v_blocks(path, mm, pos: int, declared: int, dim: int, strict: bool):
+    """(tokens, float32 values) of up to `declared` records from `pos` on,
+    about _READ_BYTES of values at a time; bytes after those are reported."""
+    read = 0
+    while read < declared:
+        tokens: list[str] = []
+        payload: list[bytes] = []
+        while read < declared and 4 * dim * len(tokens) < _READ_BYTES:
+            while pos < len(mm) and mm[pos] in (0x20, 0x0A):
                 pos += 1
-            if pos >= size:
+            if pos >= len(mm):
                 break
-            sep = mm.find(b" ", pos, min(pos + _MAX_TOKEN_BYTES, size))
+            # the byte at pos is no space, so a token found is not empty
+            sep = mm.find(b" ", pos, pos + _MAX_TOKEN_BYTES)
             if sep < 0:
                 raise DataError(
-                    f"{path}: record {read_recs}: no token terminator within "
+                    f"{path}: record {read}: no token terminator within "
                     f"{_MAX_TOKEN_BYTES} bytes; file looks corrupt"
                 )
             try:
                 token = mm[pos:sep].decode("utf-8")
             except UnicodeDecodeError:
-                raise DataError(f"{path}: record {read_recs}: token is not valid UTF-8") from None
-            if not token:
-                raise DataError(f"{path}: record {read_recs}: empty token")
-            end = sep + 1 + rec_bytes
-            if end > size:
+                raise DataError(f"{path}: record {read}: token is not valid UTF-8") from None
+            pos = sep + 1 + 4 * dim
+            if pos > len(mm):
                 raise DataError(f"{path}: record for token {token!r} truncated")
-            read_recs += 1
-            if token in index:
-                dups += 1
-                pos = end
-                continue
-            # assign straight from the buffer view; holding it in a local
-            # would pin the mmap open past the with block
-            mat[n] = np.frombuffer(mm, dtype="<f4", count=dim, offset=sep + 1)
-            pos = end
-            index[token] = n
-            words.append(token)
-            n += 1
-        if n == 0:
-            raise DataError(f"{path}: no embedding records")
-        if read_recs < declared:
-            msg = f"{path}: header declares {declared} records, file holds {read_recs}"
+            tokens.append(token)
+            payload.append(mm[sep + 1 : pos])
+            read += 1
+        if not tokens:
+            break
+        # copied out of the mmap, so no view pins it open
+        vals = np.frombuffer(b"".join(payload), "<f4").reshape(-1, dim)
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        if len(bad):
+            raise DataError(f"{path}: non-finite value for token {tokens[bad[0]]!r}")
+        yield tokens, vals
+    if read == declared:
+        tail = mm[pos:].strip(b" \n")
+        if tail:
+            msg = f"{path}: {len(tail)} unexpected bytes after final record"
             if strict:
                 raise DataError(msg)
             log.warning(msg)
-        else:
-            tail = mm[pos:size].strip(b" \n")
-            if tail:
-                msg = f"{path}: {len(tail)} unexpected bytes after final record"
-                if strict:
-                    raise DataError(msg)
-                log.warning(msg)
-        finite = np.isfinite(mat[:n])
-        if not finite.all():
-            bad = int(np.nonzero(~finite.all(axis=1))[0][0])
-            raise DataError(f"{path}: non-finite value for token {words[bad]!r}")
-        if dups:
-            log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
-    # the mmap is closed and no view of mat exists, so it may shrink in place
-    mat.resize((n, dim), refcheck=False)
-    return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
+    # the file's pages leave memory before the table is built
+    mm.close()
 
 
 # ---------------------------------------------------------------------------

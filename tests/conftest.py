@@ -1,3 +1,4 @@
+import mmap
 import os
 from collections import Counter
 
@@ -5,7 +6,15 @@ import numpy as np
 import pytest
 
 from embcat.corpus import TokenDataset, VocabCounts
-from embcat.embio import EmbeddingTable, RandomBackfill, _preallocate, _two_ints, log, random_vector
+from embcat.embio import (
+    _MAX_TOKEN_BYTES,
+    EmbeddingTable,
+    RandomBackfill,
+    _preallocate,
+    _two_ints,
+    log,
+    random_vector,
+)
 from embcat.errors import DataError, utf8_input
 
 
@@ -109,6 +118,92 @@ def read_glove_text_reference(path, name, header: bool, strict: bool) -> Embeddi
     if dups:
         log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
     return EmbeddingTable(name, tuple(words), mat[:n].copy(), n_duplicates=dups)
+
+
+def read_w2v_binary_reference(path, name, strict: bool) -> EmbeddingTable:
+    """The word2vec binary reader one record at a time, each row assigned
+    from the mmap on its own: the reference the block reader must match
+    table for table, warning for warning and error message for error
+    message on files whose values are all finite."""
+    if os.path.getsize(path) == 0:
+        raise DataError(f"{path}: empty file")
+    with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        size = mm.size()
+        nl = mm.find(b"\n", 0, 128)
+        if nl < 0:
+            raise DataError(f"{path}: missing '<vocab> <dim>' header line")
+        hdr = _two_ints(mm[:nl])
+        if hdr is None:
+            raise DataError(f"{path}: malformed header {mm[:nl]!r}")
+        declared, dim = hdr
+        if declared < 1 or dim < 1:
+            raise DataError(f"{path}: header declares vocab {declared}, dim {dim}")
+        rec_bytes = 4 * dim
+        words: list[str] = []
+        index: dict[str, int] = {}
+        dups = 0
+        # preallocate no more rows than the file can hold: each record is
+        # at least a token byte, a space and dim float32 values
+        fits = (size - nl - 1) // (rec_bytes + 2)
+        mat = _preallocate(min(declared, fits), dim)
+        n = 0
+        pos = nl + 1
+        read_recs = 0
+        while read_recs < declared:
+            while pos < size and mm[pos] in (0x20, 0x0A):
+                pos += 1
+            if pos >= size:
+                break
+            sep = mm.find(b" ", pos, min(pos + _MAX_TOKEN_BYTES, size))
+            if sep < 0:
+                raise DataError(
+                    f"{path}: record {read_recs}: no token terminator within "
+                    f"{_MAX_TOKEN_BYTES} bytes; file looks corrupt"
+                )
+            try:
+                token = mm[pos:sep].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: record {read_recs}: token is not valid UTF-8") from None
+            if not token:
+                raise DataError(f"{path}: record {read_recs}: empty token")
+            end = sep + 1 + rec_bytes
+            if end > size:
+                raise DataError(f"{path}: record for token {token!r} truncated")
+            read_recs += 1
+            if token in index:
+                dups += 1
+                pos = end
+                continue
+            # assign straight from the buffer view; holding it in a local
+            # would pin the mmap open past the with block
+            mat[n] = np.frombuffer(mm, dtype="<f4", count=dim, offset=sep + 1)
+            pos = end
+            index[token] = n
+            words.append(token)
+            n += 1
+        if n == 0:
+            raise DataError(f"{path}: no embedding records")
+        if read_recs < declared:
+            msg = f"{path}: header declares {declared} records, file holds {read_recs}"
+            if strict:
+                raise DataError(msg)
+            log.warning(msg)
+        else:
+            tail = mm[pos:size].strip(b" \n")
+            if tail:
+                msg = f"{path}: {len(tail)} unexpected bytes after final record"
+                if strict:
+                    raise DataError(msg)
+                log.warning(msg)
+        finite = np.isfinite(mat[:n])
+        if not finite.all():
+            bad = int(np.nonzero(~finite.all(axis=1))[0][0])
+            raise DataError(f"{path}: non-finite value for token {words[bad]!r}")
+        if dups:
+            log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
+    # the mmap is closed and no view of mat exists, so it may shrink in place
+    mat.resize((n, dim), refcheck=False)
+    return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
 
 
 def ablated_reference(

@@ -117,6 +117,19 @@ def test_non_utf8_inputs_exit_1(capsys, tmp_path):
     assert code == 1 and f"{bad}:1: not valid UTF-8" in err
 
 
+def test_a_text_value_beyond_float32_is_one_error_line(tmp_path):
+    # run as a program, so that a numpy warning would reach stderr
+    p = tmp_path / "t.txt"
+    p.write_text("a 1 2\nb 1e39 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "embcat.cli", "info", "--emb", str(p)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {p}:2: non-finite value for token 'b'\n"
+
+
 def test_empty_w2v_file_exits_1(capsys, tmp_path):
     emb = tmp_path / "empty.bin"
     emb.write_bytes(b"")
@@ -446,6 +459,22 @@ def test_combine_cli_concat_rejects_applies_to(capsys, tmp_path, conll_file):
     )
     assert code == 2 and "applies_to" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("low, high", [("-inf", "1"), ("-1e308", "1e308")])
+def test_combine_rejects_an_infinite_backfill_range(capsys, tmp_path, conll_file, low, high):
+    emb = tmp_path / "e.glove"
+    emb.write_text("eu 1 1\n")
+    code, _, err = run(
+        capsys,
+        "combine",
+        "--emb", str(emb), "--emb", f"two={emb}", "--data", conll_file,
+        "--out", str(tmp_path / "c.glove"), f"--backfill-low={low}", f"--backfill-high={high}",
+    )
+    assert code == 2
+    want = f"need low < high, high - low finite, got [{float(low)}, {float(high)})"
+    assert err == f"usage error: {want}\n"
+    assert not (tmp_path / "c.glove").exists()
 
 
 def test_combine_splits_strip_whitespace(capsys, tmp_path, conll_file):

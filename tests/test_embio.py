@@ -12,6 +12,7 @@ from conftest import (
     make_table,
     random_table,
     read_glove_text_reference,
+    read_w2v_binary_reference,
     tables_equal,
 )
 from embcat import embio
@@ -153,6 +154,10 @@ def test_backfill_validation():
     # no float32 value lies in [0.1, next double above 0.1)
     with pytest.raises(ValueError, match="no float32"):
         RandomBackfill(1, low=0.1, high=float(np.nextafter(0.1, 1.0)))
+    # numpy's uniform draw cannot span an infinite end or width
+    for low, high in [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)]:
+        with pytest.raises(ValueError, match="high - low finite"):
+            RandomBackfill(1, low=low, high=high)
     with pytest.raises(ValueError):
         random_vector(RandomBackfill(1), "t", "w", 0)
 
@@ -615,6 +620,127 @@ def test_binary_duplicates(tmp_path):
     t = read_embeddings(p, Format.WORD2VEC_BINARY)
     assert t.words == ("a",) and t.n_duplicates == 1
     assert t.vectors[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# block binary reader: the same tables, warnings and errors as one record at a time
+
+
+@st.composite
+def _w2v_st(draw):
+    """w2v binary bytes with finite values. Tokens repeat, so duplicates
+    fall in different blocks; the header may declare fewer or more records
+    than the file holds, and an odd file may end in stray bytes or a cut
+    record, or hold an undecodable token."""
+    dim = draw(st.integers(1, 3))
+    records = draw(
+        st.lists(
+            st.tuples(_token_st, st.lists(f32_st, min_size=dim, max_size=dim)), max_size=8
+        )
+    )
+    sep = draw(st.sampled_from([b"\n", b"", b" "]))
+    body = [tok.encode() + b" " + np.asarray(vec, "<f4").tobytes() + sep for tok, vec in records]
+    if body and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(body) - 1))
+        body[i] = b"\xff" + body[i]
+    declared = len(records) + draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
+    data = b"%d %d\n" % (declared, dim) + b"".join(body)
+    if draw(st.booleans()):
+        data += draw(st.sampled_from([b"\n", b" \n", b"xyz", b"x \x00\x00\x80?\n"]))
+    if body and draw(st.integers(0, 4)) == 0:
+        data = data[: -draw(st.integers(1, 4 * dim))]
+    return data
+
+
+def _read_both_w2v(path, strict: bool):
+    """The block reader's outcome, asserted equal to the reference's."""
+    fmt = Format.WORD2VEC_BINARY
+    got = _outcome(lambda p: read_embeddings(p, fmt, name="t", strict=strict), path)
+    want = _outcome(lambda p: read_w2v_binary_reference(p, "t", strict), path)
+    assert got == want
+    return got
+
+
+# 1 byte cuts a block after each record, 24 after two to six
+@pytest.mark.parametrize("read_bytes", [1, 24, 1 << 20])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_w2v_st(), strict=st.booleans())
+def test_binary_blocks_read_like_the_record_reference(
+    tmp_path_factory, monkeypatch, read_bytes, data, strict
+):
+    monkeypatch.setattr(embio, "_READ_BYTES", read_bytes)
+    p = tmp_path_factory.mktemp("w2v") / "t.bin"
+    p.write_bytes(data)
+    _read_both_w2v(p, strict)
+
+
+def test_binary_short_last_block(tmp_path, monkeypatch, caplog):
+    # five records of 12 value bytes in blocks of two, under a header that
+    # declares seven
+    monkeypatch.setattr(embio, "_READ_BYTES", 24)
+    sizes = []
+    blocks = embio._w2v_blocks
+
+    def spy(*args):
+        for tokens, vals in blocks(*args):
+            sizes.append(len(tokens))
+            yield tokens, vals
+
+    monkeypatch.setattr(embio, "_w2v_blocks", spy)
+    records = [(w, [i, -i, 0.5]) for i, w in enumerate("abcde")]
+    p = tmp_path / "short.bin"
+    p.write_bytes(_w2v_bytes(records, 3, header=7))
+    with caplog.at_level("WARNING"):
+        t = read_embeddings(p, Format.WORD2VEC_BINARY)
+    assert sizes == [2, 2, 1]
+    assert t.words == tuple("abcde") and np.array_equal(t.vectors, [r[1] for r in records])
+    assert [r.message for r in caplog.records] == [f"{p}: header declares 7 records, file holds 5"]
+    _read_both_w2v(p, strict=False)
+    with pytest.raises(DataError, match="declares 7 records, file holds 5$"):
+        read_embeddings(p, Format.WORD2VEC_BINARY, strict=True)
+
+
+def test_binary_file_is_unmapped_before_the_table_is_built(tmp_path, monkeypatch):
+    # the file's pages and the table's checks are not in memory at once
+    maps, closed = [], []
+    blocks, table = embio._w2v_blocks, embio.EmbeddingTable
+
+    def blocks_spy(path, mm, *args):
+        maps.append(mm)
+        return blocks(path, mm, *args)
+
+    def table_spy(*args, **kwargs):
+        closed.append(maps[0].closed)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(embio, "_w2v_blocks", blocks_spy)
+    monkeypatch.setattr(embio, "EmbeddingTable", table_spy)
+    p = tmp_path / "t.bin"
+    p.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [3.0, 4.0])], 2))
+    assert read_embeddings(p, Format.WORD2VEC_BINARY).words == ("a", "b")
+    assert closed == [True]
+
+
+def test_binary_nonfinite_in_a_dropped_duplicate(tmp_path):
+    # as in text, every record's values must be finite, kept or not
+    p = tmp_path / "dup.bin"
+    p.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [3.0, 4.0]), ("a", [np.inf, 0.0])], 2))
+    with pytest.raises(DataError, match=r"dup\.bin: non-finite value for token 'a'$"):
+        read_embeddings(p, Format.WORD2VEC_BINARY)
+    assert read_w2v_binary_reference(p, "t", strict=False).words == ("a", "b")
+
+
+def test_binary_nonfinite_before_a_count_mismatch(tmp_path, caplog):
+    p = tmp_path / "short.bin"
+    p.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [np.nan, 4.0])], 2, header=3))
+    with caplog.at_level("WARNING"):
+        with pytest.raises(DataError, match=r"short\.bin: non-finite value for token 'b'$"):
+            read_embeddings(p, Format.WORD2VEC_BINARY)
+    assert caplog.records == []
+    with pytest.raises(DataError, match="non-finite value for token 'b'$"):
+        read_embeddings(p, Format.WORD2VEC_BINARY, strict=True)
+    with pytest.raises(DataError, match="declares 3 records, file holds 2$"):
+        read_w2v_binary_reference(p, "t", strict=True)
 
 
 # ---------------------------------------------------------------------------
