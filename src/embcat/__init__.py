@@ -7,7 +7,6 @@ from .analysis import (
     NeighborSet,
     PairReport,
     SimilarityReport,
-    cosine,
     coverage,
     embedding_similarity,
     jaccard,
@@ -36,7 +35,6 @@ from .embio import (
     Format,
     RandomBackfill,
     detect_format,
-    lookup,
     random_vector,
     read_embeddings,
     write_embeddings,
@@ -70,7 +68,6 @@ __all__ = [
     "VocabCounts",
     "bio_to_iobes",
     "combine",
-    "cosine",
     "coverage",
     "detect_format",
     "embedding_similarity",
@@ -79,7 +76,6 @@ __all__ = [
     "iob1_to_bio",
     "jaccard",
     "knn",
-    "lookup",
     "model_vocab",
     "pair_report",
     "random_vector",

@@ -108,23 +108,6 @@ class PairReport:
     n: int
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in double precision.
-
-    A zero operand yields -inf so that zero vectors sort behind every real
-    neighbor instead of poisoning rankings with NaN.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DataError(f"dim mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return float("-inf")
-    return float(u @ v) / (nu * nv)
-
-
 def jaccard(a: set, b: set) -> float:
     """|a n b| / |a u b|, with two empty sets counting as identical."""
     if not a and not b:

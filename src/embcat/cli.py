@@ -148,11 +148,15 @@ def _read_dataset(args, path: str, split: str = "other"):
 
 
 def _manifest(args, inputs: dict[str, str]) -> dict:
-    skip = {"func", "subcommand", "seed", "stable", "fold_case"}
+    # every report that takes --to states it as "format"; recording it here
+    # too would change the stable report of existing combine runs
+    skip = {"func", "subcommand", "seed", "stable", "fold_case", "to"}
     options = {}
     for key, val in vars(args).items():
         if key in skip:
             continue
+        if isinstance(val, Format):
+            val = val.value
         if isinstance(val, (str, int, float, bool, type(None))):
             options[key] = val
         elif isinstance(val, (list, tuple)):
@@ -390,12 +394,17 @@ def _cmd_score(args):
     pred = read_conll(args.pred, label_column=args.label_column)
     gold_at = [f"{args.gold}:{line}" for line in gold.lines]
     pred_at = [f"{args.pred}:{line}" for line in pred.lines]
-    if len(gold) == len(pred):
-        for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
-            if g.tokens != p.tokens:
-                raise DataError(
-                    f"{pred_at[si]}: gold and pred token sequences differ (gold {gold_at[si]})"
-                )
+    if len(gold) != len(pred):
+        n = min(len(gold), len(pred))
+        unpaired = gold_at[n] if len(gold) > n else pred_at[n]
+        raise DataError(
+            f"{unpaired}: no partner; {len(gold)} gold sentences but {len(pred)} predicted"
+        )
+    for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
+        if g.tokens != p.tokens:
+            raise DataError(
+                f"{pred_at[si]}: gold and pred token sequences differ (gold {gold_at[si]})"
+            )
     gold_tags = [list(s.labels) for s in gold.sentences]
     pred_tags = [list(s.labels) for s in pred.sentences]
     result = entity_prf(gold_tags, pred_tags, mode=args.mode, where=(gold_at, pred_at))

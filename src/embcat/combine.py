@@ -168,7 +168,9 @@ def combine(
                 out[r, off:end] = table.vectors[hit[0]]
                 continue
             out[r, off:end] = random_vector(backfill, table.name, key, table.dim)
-    return EmbeddingTable("+".join(names), vocab.types, out)
+    # the rows are source rows or finite draws, and the types are unique
+    index = dict(zip(vocab.types, range(len(vocab))))
+    return EmbeddingTable._adopt("+".join(names), vocab.types, out, index)
 
 
 def with_special_tokens(vocab: ModelVocab) -> ModelVocab:
@@ -188,7 +190,7 @@ def zero_token_row(table: EmbeddingTable, token: str) -> EmbeddingTable:
         raise DataError(f"token {token!r} not in table {table.name!r}")
     mat = table.vectors.copy()
     mat[table.index[token]] = 0.0
-    return EmbeddingTable(table.name, table.words, mat, n_duplicates=table.n_duplicates)
+    return EmbeddingTable._adopt(table.name, table.words, mat, table.index, table.n_duplicates)
 
 
 @dataclass(frozen=True)

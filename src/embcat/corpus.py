@@ -86,10 +86,6 @@ class TextDataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    @property
-    def n_tokens(self) -> int:
-        return sum(len(e.tokens) for e in self.examples)
-
     def iter_tokens(self):
         for ex in self.examples:
             yield from ex.tokens

@@ -65,6 +65,11 @@ class RandomBackfill:
         # numpy's uniform draw needs a finite width
         if not (self.low < self.high and np.isfinite(self.high - self.low)):
             raise ValueError(f"need low < high, high - low finite, got [{self.low}, {self.high})")
+        # the draws are cast to float32: an end within ±big, the greatest
+        # float32 as printed, rounds to a finite float32
+        big = 3.4028235e38
+        if not -big <= self.low < self.high <= big:
+            raise ValueError(f"need both ends in [-{big}, {big}], got [{self.low}, {self.high})")
         lo, hi = _float32_range(self.low, self.high)
         if lo > hi:
             raise ValueError(f"no float32 value lies in [{self.low}, {self.high})")
@@ -107,10 +112,12 @@ def random_vector(backfill: RandomBackfill, table_name: str, token: str, dim: in
 class EmbeddingTable:
     """A named vocabulary with one dense float32 vector row per token.
 
-    Construction validates the whole structure (unique tokens, finite
-    values, consistent shape) and freezes the matrix; treat instances as
-    immutable. `n_duplicates` records source rows dropped by keep-first
-    deduplication during parsing.
+    The public constructor checks the whole structure (non-empty name,
+    unique tokens, finite values, consistent shape), builds the token index
+    and freezes the matrix. The tables the package builds (readers, `combine`,
+    `zero_token_row`) are checked where their data enters and `_adopt`ed
+    unchecked. Treat instances as immutable. `n_duplicates` records source
+    rows dropped by keep-first deduplication during parsing.
     """
 
     name: str
@@ -146,6 +153,21 @@ class EmbeddingTable:
         self.dim = dim
         self.index = index
 
+    @classmethod
+    def _adopt(cls, name, words, vectors, index, n_duplicates=0) -> EmbeddingTable:
+        """The table of checked parts, taken as they are: a non-empty name,
+        n unique `words` in row order with the `index` of each one's row, and
+        a C-contiguous n×dim float32 matrix of finite values (n, dim >= 1)."""
+        table = cls.__new__(cls)
+        vectors.setflags(write=False)
+        table.name = name
+        table.words = words
+        table.vectors = vectors
+        table.n_duplicates = n_duplicates
+        table.dim = vectors.shape[1]
+        table.index = index
+        return table
+
     def __len__(self) -> int:
         return len(self.words)
 
@@ -170,17 +192,6 @@ def resolve_index(
         if i is not None:
             return i, "lowercase"
     return None
-
-
-def lookup(
-    table: EmbeddingTable, token: str, fold_case: bool = True
-) -> tuple[np.ndarray, str] | None:
-    """First lookup step that hits wins. Absence is None, not an error."""
-    hit = resolve_index(table, token, fold_case)
-    if hit is None:
-        return None
-    i, step = hit
-    return table.vectors[i], step
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +269,12 @@ def read_embeddings(
     and counted on the table. strict=True turns header/vocabulary-count
     mismatches and ragged text lines into errors instead of warnings.
     """
-    if fmt is None:
-        fmt = detect_format(path)
     if name is None:
         name = Path(path).stem or str(path)
+    elif not name:
+        raise ValueError("table name must be non-empty")
+    if fmt is None:
+        fmt = detect_format(path)
     if fmt is Format.WORD2VEC_BINARY:
         return _read_w2v_binary(path, name, strict)
     return _read_glove_text(path, name, fmt is Format.GLOVE_TEXT_HEADER, strict)
@@ -321,31 +334,29 @@ def _read_glove_text(path, name, header: bool, strict: bool) -> EmbeddingTable:
 
 
 def _collect(path, name, blocks, rows: int, dim: int, declared: int | None, strict: bool):
-    """The table of `blocks`, (tokens, float32 values) of records in file
-    order, kept first per token in a matrix preallocated for `rows` rows;
-    then the checks against the header's `declared` count, if any."""
-    words: list[str] = []
-    seen: set[str] = set()
+    """The table of `blocks`, (tokens, finite float32 values) of records in
+    file order, kept first per token in an index and a matrix preallocated
+    for `rows` rows; then the checks against the header's `declared` count."""
+    index: dict[str, int] = {}
     dups = 0
     mat = _preallocate(rows, dim)
-    n = 0
     for tokens, vals in blocks:
         # keep-first: each token's first row in the block, unless an
         # earlier block holds the token
         first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
-        for token in first.keys() & seen:
+        for token in first.keys() & index.keys():
             del first[token]
-        seen.update(first)
         if len(first) < len(tokens):
             keep = sorted(first.values())
             dups += len(tokens) - len(keep)
             tokens = [tokens[i] for i in keep]
             vals = vals[keep]
+        n = len(index)
         if n + len(vals) > len(mat):
             mat.resize((max(n + len(vals), len(mat) * 3 // 2), dim), refcheck=False)
         mat[n : n + len(vals)] = vals
-        words += tokens
-        n += len(vals)
+        index.update(zip(tokens, range(n, n + len(tokens))))
+    n = len(index)
     if n == 0:
         raise DataError(f"{path}: no embedding records")
     if declared is not None and n + dups != declared:
@@ -357,7 +368,7 @@ def _collect(path, name, blocks, rows: int, dim: int, declared: int | None, stri
         log.warning("%s: dropped %d duplicate tokens (keep-first)", path, dups)
     # no view of mat exists, so it may shrink in place
     mat.resize((n, dim), refcheck=False)
-    return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
+    return EmbeddingTable._adopt(name, tuple(index), mat, index, dups)
 
 
 def _text_blocks(path, texts, lineno: int, dim: int, strict: bool):

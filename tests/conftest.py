@@ -92,7 +92,8 @@ def read_glove_text_reference(path, name, header: bool, strict: bool) -> Embeddi
             if not token:
                 raise DataError(f"{path}:{lineno}: empty token")
             try:
-                vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
+                with np.errstate(over="ignore"):
+                    vec = np.array(fields[len(fields) - dim :], dtype=np.float32)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparseable vector value") from None
             if not np.isfinite(vec).all():

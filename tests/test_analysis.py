@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from embcat import analysis
 from embcat.analysis import (
     NeighborSet,
     coverage,
-    cosine,
     embedding_similarity,
     jaccard,
     knn,
@@ -44,27 +42,6 @@ def assert_matches_oracle(got, want):
     np.testing.assert_allclose(
         [s for _, s in got], [s for _, s in want], rtol=0, atol=1e-10
     )
-
-
-# ---------------------------------------------------------------------------
-# cosine
-
-
-def test_cosine_analytic():
-    assert cosine([1, 0], [0, 1]) == 0.0
-    assert cosine([1, 0], [2, 0]) == 1.0
-    assert cosine([1, 0], [1, 1]) == pytest.approx(math.sqrt(2) / 2)
-    assert cosine([1, 1], [-1, -1]) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_sentinel():
-    assert cosine([0, 0], [1, 2]) == float("-inf")
-    assert cosine([1, 2], [0, 0]) == float("-inf")
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(DataError):
-        cosine([1, 0], [1, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,24 @@ def test_combine_rejects_an_infinite_backfill_range(capsys, tmp_path, conll_file
     assert not (tmp_path / "c.glove").exists()
 
 
+def test_combine_rejects_a_backfill_end_beyond_float32(tmp_path, conll_file):
+    # run as a program, so that a numpy warning would reach stderr
+    emb = tmp_path / "e.glove"
+    emb.write_text("eu 1 1\n")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "embcat.cli", "combine", "--emb", str(emb), "--data", conll_file,
+            "--out", str(tmp_path / "c.glove"), "--backfill-low", "1e39", "--backfill-high", "2e39",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    want = "need both ends in [-3.4028235e+38, 3.4028235e+38], got [1e+39, 2e+39)"
+    assert proc.stderr == f"usage error: {want}\n"
+    assert not (tmp_path / "c.glove").exists()
+
+
 def test_combine_splits_strip_whitespace(capsys, tmp_path, conll_file):
     emb = tmp_path / "e.glove"
     emb.write_text("eu 1 1\n")
@@ -610,6 +628,29 @@ def test_score_token_mismatch_names_file_and_line(capsys, tmp_path):
     code, _, err = run(capsys, "score", "--gold", str(gold), "--pred", str(pred))
     assert code == 1
     assert err.startswith(f"error: {pred}:4: ") and f"{gold}:3" in err
+
+
+@pytest.mark.parametrize("longer", ["gold", "pred"])
+def test_score_sentence_count_mismatch_names_file_and_line(capsys, tmp_path, longer):
+    files = {name: tmp_path / f"{name}.conll" for name in ("gold", "pred")}
+    for name, path in files.items():
+        path.write_text("Mary B-PER\n\n\nParis B-LOC\n" if name == longer else "Mary B-PER\n")
+    code, _, err = run(capsys, "score", "--gold", str(files["gold"]), "--pred", str(files["pred"]))
+    counts = (2, 1) if longer == "gold" else (1, 2)
+    assert code == 1
+    want = f"{files[longer]}:4: no partner; {counts[0]} gold sentences but {counts[1]} predicted"
+    assert err == f"error: {want}\n"
+
+
+def test_manifest_records_a_format_option_by_name(capsys, tmp_path):
+    rep = run_json(capsys, "info", "--emb", FIXTURE, "--emb-format", "glove", "--stable")
+    assert rep["manifest"]["options"]["emb_format"] == "GloveText"
+    rep = run_json(capsys, "info", "--emb", FIXTURE, "--stable")
+    assert rep["manifest"]["options"]["emb_format"] is None
+    # --to is the report's "format", not an option
+    out = str(tmp_path / "t.bin")
+    rep = run_json(capsys, "convert", "--emb", FIXTURE, "--out", out, "--to", "w2v", "--stable")
+    assert rep["format"] == "Word2VecBinary" and "to" not in rep["manifest"]["options"]
 
 
 def test_threads_env(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ablated_reference, make_table, random_table
+from conftest import ablated_reference, make_table, random_table, tables_equal
 from embcat import analysis
 from embcat.analysis import coverage, embedding_similarity
 from embcat.combine import (
@@ -27,7 +27,14 @@ from embcat.corpus import (
     VocabCounts,
     top_n_types,
 )
-from embcat.embio import RandomBackfill, random_vector
+from embcat.embio import (
+    EmbeddingTable,
+    Format,
+    RandomBackfill,
+    random_vector,
+    read_embeddings,
+    write_embeddings,
+)
 from embcat.errors import DataError
 
 BF = RandomBackfill(20240817)
@@ -368,6 +375,38 @@ def test_zero_token_row():
     assert np.array_equal(z.row("b"), [2, 2])
     with pytest.raises(DataError):
         zero_token_row(t, "zz")
+
+
+def test_package_tables_are_adopted_not_rechecked(tmp_path, monkeypatch):
+    # the readers, combine and zero_token_row check their data where it
+    # enters; none of them runs the public constructor's checks again
+    rng = np.random.default_rng(13)
+    a = make_table("a", ["the", "The", "cat", "dog"], rng.standard_normal((4, 3)))
+    b = make_table("b", ["the", "mat", "owl"], rng.standard_normal((3, 2)))
+    for fmt in Format:
+        write_embeddings(a, tmp_path / f"a.{fmt.value}", fmt)
+    write_embeddings(b, tmp_path / "b.bin", Format.WORD2VEC_BINARY)
+    vocab = with_special_tokens(mv("the", "The", "dog", "mat", "sat"))
+
+    def refuse(self):
+        raise AssertionError("the public constructor's checks ran")
+
+    monkeypatch.setattr(EmbeddingTable, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        make_table("t", ["x"], [[1.0]])
+    built = [read_embeddings(tmp_path / f"a.{fmt.value}", fmt, name="a") for fmt in Format]
+    read_b = read_embeddings(tmp_path / "b.bin", name="b")
+    for kind in COMBINE_KINDS:
+        out = combine([built[0], read_b], vocab, CombinePolicy.parse(kind), BF)
+        built += [out, zero_token_row(out, PAD_TOKEN)]
+    monkeypatch.undo()
+    assert all(tables_equal(t, a) for t in built[:3])
+    # each adopted table is what the public constructor makes of its parts
+    for t in [*built, read_b]:
+        assert type(t.words) is tuple and not t.vectors.flags.writeable
+        checked = EmbeddingTable(t.name, t.words, t.vectors, t.n_duplicates)
+        assert t.index == checked.index and t.dim == checked.dim
+    assert not built[-1].row(PAD_TOKEN).any() and built[-2].row(PAD_TOKEN).any()
 
 
 # ---------------------------------------------------------------------------

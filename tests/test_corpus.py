@@ -110,7 +110,7 @@ def test_read_labeled_text_tab(tmp_path):
     assert len(ds) == 2
     assert ds.examples[0] == Example("pos", ("great", "fun", "movie"))
     assert ds.n_skipped == 1
-    assert ds.n_tokens == 6
+    assert len(list(ds.iter_tokens())) == 6
 
 
 def test_read_labeled_text_space_delimited(tmp_path):

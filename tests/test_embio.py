@@ -23,7 +23,6 @@ from embcat.embio import (
     _float32_range,
     atomic_output,
     detect_format,
-    lookup,
     random_vector,
     read_embeddings,
     resolve_index,
@@ -79,16 +78,13 @@ def test_table_is_frozen(toy_table):
 def test_lookup_chain_order():
     # both casings present: exact must win over lowercase
     t = make_table("t", ["The", "the"], [[1.0], [2.0]])
-    vec, step = lookup(t, "The")
-    assert step == "exact" and vec[0] == 1.0
-    vec, step = lookup(t, "THE")
-    assert step == "lowercase" and vec[0] == 2.0
-    assert lookup(t, "cat") is None
+    assert resolve_index(t, "The") == (0, "exact")
+    assert resolve_index(t, "THE") == (1, "lowercase")
+    assert resolve_index(t, "cat") is None
 
 
 def test_lookup_exact_only_policy():
     t = make_table("t", ["the"], [[1.0]])
-    assert lookup(t, "The", fold_case=False) is None
     assert resolve_index(t, "The", fold_case=False) is None
     assert resolve_index(t, "the", fold_case=False) == (0, "exact")
     assert resolve_index(t, "The") == (0, "lowercase")
@@ -158,6 +154,12 @@ def test_backfill_validation():
     for low, high in [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)]:
         with pytest.raises(ValueError, match="high - low finite"):
             RandomBackfill(1, low=low, high=high)
+    # the float32 cast of an end beyond float32's greatest value overflows
+    for low, high in [(-1e39, 1.0), (1e39, 2e39), (0.0, 3.4028236e38)]:
+        with pytest.raises(ValueError, match=r"need both ends in \[-3\.4028235e\+38, "):
+            RandomBackfill(1, low=low, high=high)
+    widest = RandomBackfill(1, low=-3.4028235e38, high=3.4028235e38)
+    assert np.isfinite(random_vector(widest, "t", "w", 64)).all()
     with pytest.raises(ValueError):
         random_vector(RandomBackfill(1), "t", "w", 0)
 
@@ -196,6 +198,8 @@ def test_read_fixture():
     assert t.words == ("a", "b") and t.dim == 3
     assert t.name == "tiny"
     assert np.array_equal(t.vectors, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="table name must be non-empty"):
+        read_embeddings(FIXTURE, name="")
 
 
 def test_read_keep_first_duplicates(tmp_path):
@@ -315,8 +319,9 @@ def test_nbsp_token_preserved(tmp_path):
 
 
 def _outcome(read, path):
-    """("table", words, shape, vector bits, duplicates, warnings) of what
-    `read(path)` returns, or ("error", message) of the DataError it raises."""
+    """("table", words, shape, vector bits, duplicates, warnings, token
+    index) of what `read(path)` returns, or ("error", message) of the
+    DataError it raises."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
@@ -328,7 +333,9 @@ def _outcome(read, path):
     finally:
         embio.log.removeHandler(handler)
     warnings = [r.getMessage() for r in records]
-    return ("table", t.words, t.vectors.shape, t.vectors.tobytes(), t.n_duplicates, warnings)
+    return (
+        "table", t.words, t.vectors.shape, t.vectors.tobytes(), t.n_duplicates, warnings, t.index
+    )
 
 
 def _read_both(path, header: bool, strict: bool):
@@ -437,7 +444,7 @@ def test_a_line_across_reads(monkeypatch, tmp_path):
     # every line is longer than a read, so each is joined from several
     text = "".join(f"word{i} {i}.5 -{i}.25 1e-3\n" for i in range(6))
     p, starts = _blocks(monkeypatch, tmp_path, text, 5)
-    kind, words, shape, bits, dups, _ = _read_both(p, header=False, strict=True)
+    kind, words, shape, bits, *_ = _read_both(p, header=False, strict=True)
     assert words == tuple(f"word{i}" for i in range(6)) and shape == (6, 3)
     assert np.frombuffer(bits, np.float32)[3:6].tolist() == [1.5, -1.25, np.float32(1e-3)]
     assert starts == []
@@ -701,20 +708,20 @@ def test_binary_short_last_block(tmp_path, monkeypatch, caplog):
 
 
 def test_binary_file_is_unmapped_before_the_table_is_built(tmp_path, monkeypatch):
-    # the file's pages and the table's checks are not in memory at once
+    # the file's pages are out of memory when the table adopts the matrix
     maps, closed = [], []
-    blocks, table = embio._w2v_blocks, embio.EmbeddingTable
+    blocks, adopt = embio._w2v_blocks, EmbeddingTable._adopt
 
     def blocks_spy(path, mm, *args):
         maps.append(mm)
         return blocks(path, mm, *args)
 
-    def table_spy(*args, **kwargs):
+    def adopt_spy(*args):
         closed.append(maps[0].closed)
-        return table(*args, **kwargs)
+        return adopt(*args)
 
     monkeypatch.setattr(embio, "_w2v_blocks", blocks_spy)
-    monkeypatch.setattr(embio, "EmbeddingTable", table_spy)
+    monkeypatch.setattr(EmbeddingTable, "_adopt", adopt_spy)
     p = tmp_path / "t.bin"
     p.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [3.0, 4.0])], 2))
     assert read_embeddings(p, Format.WORD2VEC_BINARY).words == ("a", "b")
