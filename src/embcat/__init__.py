@@ -36,6 +36,7 @@ from .embio import (
     RandomBackfill,
     detect_format,
     random_vector,
+    random_vectors,
     read_embeddings,
     write_embeddings,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "model_vocab",
     "pair_report",
     "random_vector",
+    "random_vectors",
     "read_conll",
     "read_embeddings",
     "read_labeled_text",

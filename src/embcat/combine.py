@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import coverage, pairwise_similarity
 from .corpus import VocabCounts, top_n_types, vocab_counts
-from .embio import EmbeddingTable, RandomBackfill, random_vector, resolve_index
+from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_index
 from .errors import DataError
 
 COMBINE_KINDS = ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond")
@@ -154,20 +154,25 @@ def combine(
     offsets = np.concatenate([[0], np.cumsum(dims)])
     out = np.empty((len(vocab), int(offsets[-1])), np.float32)
     for ti, table in enumerate(tables):
-        off = int(offsets[ti])
-        end = off + table.dim
+        cols = slice(int(offsets[ti]), int(offsets[ti + 1]))
+        # (output row, source row) of the kept slices, (output row, key) of
+        # the drawn ones
+        kept, rows, drawn, keys = [], [], [], []
         for r, typ in enumerate(vocab.types):
             hit = resolve_index(table, typ, fold_case)
             if hit is None:
-                key = typ
+                drawn.append(r)
+                keys.append(typ)
             elif ti == policy.applies_to and replaces(table.words[hit[0]]):
                 # keyed by the row's token, not the type: "The" and
                 # "the" resolving to one row share its replacement
-                key = table.words[hit[0]]
+                drawn.append(r)
+                keys.append(table.words[hit[0]])
             else:
-                out[r, off:end] = table.vectors[hit[0]]
-                continue
-            out[r, off:end] = random_vector(backfill, table.name, key, table.dim)
+                kept.append(r)
+                rows.append(hit[0])
+        out[kept, cols] = table.vectors[rows]
+        out[drawn, cols] = random_vectors(backfill, table.name, keys, table.dim)
     # the rows are source rows or finite draws, and the types are unique
     index = dict(zip(vocab.types, range(len(vocab))))
     return EmbeddingTable._adopt("+".join(names), vocab.types, out, index)

@@ -90,22 +90,131 @@ def _float32_range(low: float, high: float) -> tuple[np.float32, np.float32]:
 def random_vector(backfill: RandomBackfill, table_name: str, token: str, dim: int) -> np.ndarray:
     """Deterministic float32 vector with entries uniform in [low, high).
 
-    The generator is seeded from a digest of (seed, table name, token), so
-    identical inputs give identical vectors across runs and call orders.
+    The key is the 8-byte blake2b digest of the seed modulo 2**64 (8 bytes,
+    little-endian), the length of the UTF-8 table name (4 bytes,
+    little-endian), the name and the UTF-8 token, read as a little-endian
+    integer. The vector is numpy's `default_rng(key).uniform(low, high,
+    dim)` cast to float32 and clamped into [low, high), so identical inputs
+    give identical vectors across runs and call orders. It is row 0 of
+    `random_vectors` for the one token.
     """
+    return random_vectors(backfill, table_name, [token], dim)[0]
+
+
+def random_vectors(backfill: RandomBackfill, table_name: str, tokens, dim: int) -> np.ndarray:
+    """The len(tokens)×dim float32 matrix whose row i is
+    `random_vector(backfill, table_name, tokens[i], dim)`: the tokens are
+    keyed one by one, and the rows drawn together."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     name_b = table_name.encode("utf-8")
-    h = hashlib.blake2b(digest_size=8)
-    h.update((backfill.seed % 2**64).to_bytes(8, "little"))
-    h.update(len(name_b).to_bytes(4, "little"))
-    h.update(name_b)
-    h.update(token.encode("utf-8"))
-    rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-    vec = rng.uniform(backfill.low, backfill.high, dim).astype(np.float32)
+    prefix = hashlib.blake2b(digest_size=8)
+    prefix.update((backfill.seed % 2**64).to_bytes(8, "little"))
+    prefix.update(len(name_b).to_bytes(4, "little"))
+    prefix.update(name_b)
+    digests = []
+    for token in tokens:
+        h = prefix.copy()
+        h.update(token.encode("utf-8"))
+        digests.append(h.digest())
+    keys = np.frombuffer(b"".join(digests), "<u8").astype(np.uint64)
+    return _uniform_rows(keys, backfill.low, backfill.high, dim)
+
+
+def _uniform_rows(keys: np.ndarray, low: float, high: float, dim: int) -> np.ndarray:
+    """Row i is numpy's `default_rng(keys[i]).uniform(low, high, dim)`
+    cast to float32 and clamped into [low, high), for uint64 keys.
+
+    The rows are drawn in blocks of _DRAW_KEYS keys. A block runs numpy's
+    published algorithms for all its keys at once: SeedSequence over the
+    key's 32-bit words, PCG64 seeding, then the XSL-RR 128/64 outputs as
+    `uniform` turns them into float64 values; the bits equal those of a
+    generator built per key.
+    """
+    out = np.empty((len(keys), dim), np.float32)
+    width = float(high) - float(low)
+    for a in range(0, len(keys), _DRAW_KEYS):
+        block = slice(a, a + _DRAW_KEYS)
+        hi, lo, inc_hi, inc_lo = _pcg64_seed(keys[block])
+        for j in range(dim):
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: the xor of the state's halves, rotated right by its
+            # top 6 bits; then next_double and low + (high - low) * u
+            x = hi ^ lo
+            rot = hi >> 58
+            x = (x >> rot) | (x << ((64 - rot) & 63))
+            out[block, j] = float(low) + width * ((x >> 11).astype(np.float64) * 2.0**-53)
     # the cast rounds draws within half a float32 step of an end onto or
     # past it; clamping moves only those values
-    return vec.clip(*_float32_range(backfill.low, backfill.high), out=vec)
+    return out.clip(*_float32_range(low, high), out=out)
+
+
+# keys per draw block: a block's temporaries are a few columns of 32 KB
+_DRAW_KEYS = 1 << 12
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _pcg64_seed(keys: np.ndarray):
+    """The PCG64 state and increment, as hi/lo uint64 arrays, of
+    `default_rng(key)` for each uint64 key."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> 16)
+
+    # SeedSequence's pool of four words over the key's 32-bit words, least
+    # significant first. A key below 2**32 has one word; the pool then
+    # hashes 0 into its second word, as a zero high word does.
+    zero = np.zeros(len(keys), np.uint32)
+    words = [(keys & _MASK32).astype(np.uint32), (keys >> 32).astype(np.uint32), zero, zero]
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # little-endian
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[k] | (state[k + 1] << 32) for k in range(0, 8, 2))
+    # set_seed: inc = seq << 1 | 1; state = 0, step, add the seed, step
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc modulo 2**128 on hi/lo uint64 arrays; the
+    high word of lo * multiplier takes four 32×32-bit products."""
+    l0, l1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
 
 
 @dataclass

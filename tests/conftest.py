@@ -1,3 +1,4 @@
+import hashlib
 import mmap
 import os
 from collections import Counter
@@ -10,10 +11,10 @@ from embcat.embio import (
     _MAX_TOKEN_BYTES,
     EmbeddingTable,
     RandomBackfill,
+    _float32_range,
     _preallocate,
     _two_ints,
     log,
-    random_vector,
 )
 from embcat.errors import DataError, utf8_input
 
@@ -207,6 +208,27 @@ def read_w2v_binary_reference(path, name, strict: bool) -> EmbeddingTable:
     return EmbeddingTable(name, tuple(words), mat, n_duplicates=dups)
 
 
+def oracle_vector(backfill: RandomBackfill, table_name: str, token: str, dim: int) -> np.ndarray:
+    """The keyed backfill vector derived as documented, one numpy generator
+    per key: the reference the package's batched draw must equal bit for
+    bit."""
+    name_b = table_name.encode("utf-8")
+    h = hashlib.blake2b(digest_size=8)
+    h.update((backfill.seed % 2**64).to_bytes(8, "little"))
+    h.update(len(name_b).to_bytes(4, "little"))
+    h.update(name_b)
+    h.update(token.encode("utf-8"))
+    key = int.from_bytes(h.digest(), "little")
+    return oracle_draw(key, backfill.low, backfill.high, dim)
+
+
+def oracle_draw(key: int, low: float, high: float, dim: int) -> np.ndarray:
+    """numpy's own uniform draw for one key, cast to float32 and clamped
+    into [low, high)."""
+    vec = np.random.default_rng(key).uniform(low, high, dim).astype(np.float32)
+    return vec.clip(*_float32_range(low, high))
+
+
 def ablated_reference(
     second: EmbeddingTable, first_vocab: set[str], kind: str, backfill: RandomBackfill
 ) -> EmbeddingTable:
@@ -223,7 +245,7 @@ def ablated_reference(
     mat = second.vectors.copy()
     for i, w in enumerate(second.words):
         if replace(w):
-            mat[i] = random_vector(backfill, second.name, w, second.dim)
+            mat[i] = oracle_vector(backfill, second.name, w, second.dim)
     return EmbeddingTable(second.name, second.words, mat)
 
 

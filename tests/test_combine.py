@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ablated_reference, make_table, random_table, tables_equal
-from embcat import analysis
+from conftest import ablated_reference, make_table, oracle_vector, random_table, tables_equal
+from embcat import analysis, embio
 from embcat.analysis import coverage, embedding_similarity
 from embcat.combine import (
     COMBINE_KINDS,
@@ -229,7 +229,7 @@ def _reference_combine(tables, types, policy, fold_case):
             i = t.index.get(typ)
             if i is None and fold_case:
                 i = t.index.get(typ.lower())
-            parts.append(t.vectors[i] if i is not None else random_vector(BF, t.name, typ, t.dim))
+            parts.append(t.vectors[i] if i is not None else oracle_vector(BF, t.name, typ, t.dim))
         rows.append(np.concatenate(parts))
     return np.array(rows)
 
@@ -257,6 +257,27 @@ def test_combine_ablations_match_whole_table_rewrite(seed):
                 want = _reference_combine(tables, types, policy, fold_case)
                 assert out.words == types
                 assert np.array_equal(out.vectors, want), (policy, fold_case)
+
+
+def test_combine_draws_across_key_blocks(monkeypatch):
+    # three keys per draw block: the second table's draws span several
+    # blocks and end in a partial one, the first table attests every type
+    # and draws nothing, and the third table is one column wide
+    monkeypatch.setattr(embio, "_DRAW_KEYS", 3)
+    rng = np.random.default_rng(5)
+    types = tuple(f"w{i:02d}" for i in range(11))
+    tables = [
+        make_table("A", types, rng.standard_normal((11, 2))),
+        make_table("B", types[::3], rng.standard_normal((4, 3))),
+        make_table("C", types[1::2], rng.standard_normal((5, 1))),
+    ]
+    vocab = mv(*types)
+    for kind in COMBINE_KINDS:
+        policy = CombinePolicy(kind, None if kind == "Concat" else 1)
+        out = combine(tables, vocab, policy, BF)
+        assert np.array_equal(out.vectors, _reference_combine(tables, types, policy, True)), kind
+    with pytest.raises(ValueError):
+        random_vector(BF, "A", "w00", 0)
 
 
 # ---------------------------------------------------------------------------

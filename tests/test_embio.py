@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import (
     glove_text_reference,
     make_table,
+    oracle_draw,
+    oracle_vector,
     random_table,
     read_glove_text_reference,
     read_w2v_binary_reference,
@@ -24,6 +26,7 @@ from embcat.embio import (
     atomic_output,
     detect_format,
     random_vector,
+    random_vectors,
     read_embeddings,
     resolve_index,
     write_embeddings,
@@ -112,6 +115,46 @@ def test_random_vector_keying():
     assert not np.array_equal(
         random_vector(bf, "ab", "c", 8), random_vector(bf, "a", "bc", 8)
     )
+
+
+# the default range, the widest one, and one float32 step wide, where
+# every cast draw is clamped onto its low end or stays there
+DRAW_RANGES = [
+    (-0.25, 0.25),
+    (-3.4028235e38, 3.4028235e38),
+    (1.0, float(np.nextafter(np.float32(1.0), np.float32(2.0)))),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+    dim=st.integers(1, 300),
+    bounds=st.sampled_from(DRAW_RANGES),
+)
+def test_batched_draw_equals_numpy_generator(seeds, dim, bounds):
+    # if numpy changes SeedSequence, PCG64 or uniform, this test fails
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *seeds]
+    got = embio._uniform_rows(np.array(keys, np.uint64), *bounds, dim)
+    want = np.array([oracle_draw(k, *bounds, dim) for k in keys])
+    assert got.dtype == np.float32 and got.shape == (len(keys), dim)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tokens=st.lists(st.text(max_size=6), max_size=8),
+    name=st.text(min_size=1, max_size=6),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    dim=st.integers(1, 20),
+)
+def test_random_vectors_follow_the_documented_keying(tokens, name, seed, dim):
+    bf = RandomBackfill(seed)
+    got = random_vectors(bf, name, tokens, dim)
+    assert got.shape == (len(tokens), dim)
+    for row, token in zip(got, tokens):
+        assert np.array_equal(row.view(np.uint32), oracle_vector(bf, name, token, dim).view(np.uint32))
+        assert np.array_equal(row, random_vector(bf, name, token, dim))
 
 
 def test_random_vector_bounds():
