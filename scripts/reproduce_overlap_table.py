@@ -40,7 +40,7 @@ def main(argv=None):
         help="data directory (default: ./data or EMBCAT_DATA)",
     )
     parser.add_argument("--tol", type=float, default=2.0, help="allowed absolute drift")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, help="k-NN search threads (default: all cores)")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()

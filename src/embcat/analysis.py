@@ -18,6 +18,7 @@ those cached neighbor sets.
 from __future__ import annotations
 
 import heapq
+import os
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -158,13 +159,14 @@ def _batch_topk(
     k: int,
     *,
     row_mask: np.ndarray | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[list[tuple[str, float]]]:
     """Exact top-k by cosine for many query rows at once.
 
     Returns, per query, k (token, similarity) pairs sorted by similarity
     descending then token ascending. `row_mask` limits candidate rows;
-    query rows are always excluded from their own results.
+    query rows are always excluded from their own results. The chunks run
+    on `threads` workers (None: one per core), at most one per chunk.
     """
     n = len(table)
     q_vec = table.vectors[q_rows].astype(np.float64)
@@ -177,11 +179,10 @@ def _batch_topk(
         return _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
 
     starts = range(0, n, CHUNK_ROWS)
-    if threads > 1 and len(starts) > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(work, starts))
-    else:
-        per_chunk = [work(lo) for lo in starts]
+    if threads is None:
+        threads = os.cpu_count() or 1
+    with futures.ThreadPoolExecutor(min(threads, len(starts))) as pool:
+        per_chunk = list(pool.map(work, starts))
 
     results = []
     words = table.words
@@ -197,7 +198,7 @@ def _batch_topk(
     return results
 
 
-def knn(table: EmbeddingTable, query: str, k: int, *, threads: int = 1) -> NeighborSet:
+def knn(table: EmbeddingTable, query: str, k: int, *, threads: int | None = None) -> NeighborSet:
     """The k vocabulary tokens most cosine-similar to `query`, excluding
     the query itself; exhaustive search, ties broken token-ascending."""
     if query not in table:
@@ -223,7 +224,7 @@ def pairwise_similarity(
     fold_case: bool = True,
     *,
     masks: list[np.ndarray | None] | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[dict[tuple[int, int], SimilarityReport]]:
     """Mean Jaccard overlap of every pair (i, j), i < j, of the tables, per
     query list: one {(i, j): SimilarityReport} dict per list, in pair order,
@@ -232,11 +233,18 @@ def pairwise_similarity(
     Each query is resolved once per table, and each table searched once,
     over the distinct rows of every query that resolves in it (list by
     list, in query order); `masks[i]`, when given, limits table i's
-    candidate rows. Before any search, each list and then each pair is
+    candidate rows, which must leave every searched query k of them.
+    Before any search, each mask, then each list and then each pair is
     checked: k against both tables, then every query, which is skipped
     with a reason when it is a duplicate or missing from either table.
     """
     hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
+    masks = masks or [None] * len(tables)
+    for t, hit, mask in zip(tables, hits, masks):
+        # a searched row inside the mask is not its own candidate
+        rows = [h[0] for h in hit.values() if h is not None]
+        if mask is not None and rows and k > mask.sum() - int(mask[rows].max()):
+            raise DataError(f"k={k} out of range for table {t.name!r}: {mask.sum()} shared rows")
     pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]
     checked = []  # (list index, i, j, used queries, skipped queries)
     for li, queries in enumerate(query_lists):
@@ -261,7 +269,7 @@ def pairwise_similarity(
 
     fold = str.lower if fold_case else str
     sets = []
-    for t, hit, mask in zip(tables, hits, masks or [None] * len(tables)):
+    for t, hit, mask in zip(tables, hits, masks):
         resolved = (hit[q] for qs in query_lists for q in qs)
         rows = list(dict.fromkeys(h[0] for h in resolved if h is not None))
         tops = _batch_topk(t, rows, k, row_mask=mask, threads=threads)
@@ -297,7 +305,7 @@ def embedding_similarity(
     fold_case: bool = True,
     *,
     shared_vocab_only: bool = False,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> SimilarityReport:
     """Mean Jaccard overlap (as a percentage) of the two tables' k-nearest-
     neighbor sets over the given query tokens.
@@ -347,7 +355,7 @@ def pair_report(
     n: int = 200,
     fold_case: bool = True,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> PairReport:
     """One diagnostic row for a candidate pair: neighborhood overlap of the
     two tables, and the second table's coverage, per split. Each table is

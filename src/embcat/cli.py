@@ -1,8 +1,8 @@
 """Command-line interface.
 
 One executable, nine subcommands, machine-first output: every report is a
-JSON object on stdout embedding a run manifest (input checksums, resolved
-options, seed, version), so a report is reproducible from itself. Exit
+JSON object on stdout embedding a run manifest (input checksums, options
+as given, seed, version), so a report is reproducible from itself. Exit
 codes: 0 success, 1 data error, 2 usage error. Progress and errors go to
 stderr only.
 """
@@ -10,9 +10,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -37,6 +35,7 @@ from .embio import (
     detect_format,
     read_embeddings,
     write_embeddings,
+    write_hashed,
 )
 from .errors import DataError
 from .manifest import build_manifest
@@ -47,19 +46,6 @@ _FORMAT_ALIASES = {
     "glove-header": Format.GLOVE_TEXT_HEADER,
     "w2v": Format.WORD2VEC_BINARY,
 }
-
-
-def _default_threads() -> int:
-    env = os.environ.get("EMBCAT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"EMBCAT_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError(f"EMBCAT_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def _parse_emb_arg(value: str) -> tuple[str | None, str]:
@@ -147,23 +133,6 @@ def _read_dataset(args, path: str, split: str = "other"):
     )
 
 
-def _manifest(args, inputs: dict[str, str]) -> dict:
-    # every report that takes --to states it as "format"; recording it here
-    # too would change the stable report of existing combine runs
-    skip = {"func", "subcommand", "seed", "stable", "fold_case", "to"}
-    options = {}
-    for key, val in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(val, Format):
-            val = val.value
-        if isinstance(val, (str, int, float, bool, type(None))):
-            options[key] = val
-        elif isinstance(val, (list, tuple)):
-            options[key] = list(val)
-    return build_manifest(args.subcommand, options, inputs, args.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns the report dict)
 
@@ -178,13 +147,13 @@ def _cmd_info(args):
         "dim": table.dim,
         "format": fmt.value,
         "n_duplicates": table.n_duplicates,
-        "manifest": _manifest(args, {"emb": path}),
+        "manifest": build_manifest(args, {"emb": path}),
     }
 
 
 def _cmd_convert(args):
     table, path = _load_table(args.emb, args.emb_format, args.strict)
-    manifest = _manifest(args, {"emb": path})
+    manifest = build_manifest(args, {"emb": path})
     out_sha = write_embeddings(table, args.out, args.to)
     return {
         "out": args.out,
@@ -228,17 +197,15 @@ def _cmd_convert_tags(args):
             out_lines.append(" ".join(fields))
     if n_sent == 0:
         raise DataError(f"{args.data}: no sentences")
-    manifest = _manifest(args, {"data": args.data})
-    text = ("\n".join(out_lines) + "\n").encode("utf-8")
-    with atomic_output(args.out, binary=True) as f:
-        f.write(text)
+    manifest = build_manifest(args, {"data": args.data})
+    out_sha = write_hashed(args.out, [("\n".join(out_lines) + "\n").encode("utf-8")])
     return {
         "out": args.out,
         "from": src,
         "to": dst,
         "n_sentences": n_sent,
         "n_tags_changed": n_changed,
-        "output_sha256": hashlib.sha256(text).hexdigest(),
+        "output_sha256": out_sha,
         "manifest": manifest,
     }
 
@@ -250,7 +217,7 @@ def _cmd_coverage(args):
     report = asdict(coverage(counts, table, args.fold_case))
     report["embedding"] = table.name
     report["normalization"] = counts.normalization
-    report["manifest"] = _manifest(args, {"emb": path, "data": args.data})
+    report["manifest"] = build_manifest(args, {"emb": path, "data": args.data})
     return report
 
 
@@ -279,7 +246,7 @@ def _cmd_similarity(args):
         "n_skipped": sim.n_skipped,
         "per_query": sim.per_query,
         "skipped": [list(s) for s in sim.skipped],
-        "manifest": _manifest(args, {"emb_a": path_a, "emb_b": path_b, "data": args.data}),
+        "manifest": build_manifest(args, {"emb_a": path_a, "emb_b": path_b, "data": args.data}),
     }
 
 
@@ -298,7 +265,7 @@ def _cmd_pair_report(args):
         threads=args.threads,
     )
     report = asdict(row)
-    report["manifest"] = _manifest(
+    report["manifest"] = build_manifest(
         args, {"emb_a": path_a, "emb_b": path_b, "train": args.train, "dev": args.dev}
     )
     return report
@@ -320,7 +287,7 @@ def _cmd_combine(args):
     table = combine(tables, vocab, policy, backfill, args.fold_case)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
-    manifest = _manifest(args, paths)
+    manifest = build_manifest(args, paths)
     out_sha = write_embeddings(table, args.out, args.to)
     sidecar = {
         "out": str(args.out),
@@ -385,7 +352,7 @@ def _cmd_recommend(args):
         "tau_sim": args.tau_sim,
         "tau_cov": args.tau_cov,
         "pairs": [asdict(v) for v in verdicts],
-        "manifest": _manifest(args, paths),
+        "manifest": build_manifest(args, paths),
     }
 
 
@@ -409,7 +376,7 @@ def _cmd_score(args):
     pred_tags = [list(s.labels) for s in pred.sentences]
     result = entity_prf(gold_tags, pred_tags, mode=args.mode, where=(gold_at, pred_at))
     report = asdict(result)
-    report["manifest"] = _manifest(args, {"gold": args.gold, "pred": args.pred})
+    report["manifest"] = build_manifest(args, {"gold": args.gold, "pred": args.pred})
     return report
 
 
@@ -513,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads of the k-NN search (default: EMBCAT_THREADS or all cores)",
+        help="worker threads of the k-NN search (default: all cores)",
     )
     run.add_argument(
         "--raw", action="store_true", help="count types without lookup normalization"
@@ -657,9 +624,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         args.fold_case = _parse_normalize(args.normalize)
-        if args.threads is None:
-            args.threads = _default_threads()
-        elif args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         report = args.func(args)
     except ValueError as e:

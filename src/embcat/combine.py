@@ -223,7 +223,7 @@ def recommend(
     n: int = 200,
     fold_case: bool = True,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[PairVerdict]:
     """Score every unordered pair of tables for combination on a corpus.
 

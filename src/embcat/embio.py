@@ -689,13 +689,19 @@ def _check_token_writable(token: str):
 def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> str:
     """Write a table so that reading the file back reproduces it exactly
     (words, dim, and float32 vector values). Returns the sha256 hex digest
-    of the bytes written, hashed as they are written."""
+    of the bytes written (see write_hashed)."""
     for token in table.words:
         _check_token_writable(token)
     if fmt is Format.WORD2VEC_BINARY:
         chunks = _w2v_binary_chunks(table)
     else:
         chunks = _glove_text_chunks(table, header=fmt is Format.GLOVE_TEXT_HEADER)
+    return write_hashed(path, chunks)
+
+
+def write_hashed(path, chunks) -> str:
+    """Write the byte `chunks` to `path` through atomic_output. Returns the
+    sha256 hex digest of the bytes written, hashed as they are written."""
     h = hashlib.sha256()
     with atomic_output(path, binary=True) as f:
         for chunk in chunks:

@@ -297,7 +297,6 @@ _missing = sorted(str(p) for p in REPRODUCTION_FILES.values() if not p.exists())
 )
 def test_criterion_7_reproduces_published_overlap_and_coverage():
     t0 = time.monotonic()
-    threads = os.cpu_count() or 1
     glove6b = read_embeddings(REPRODUCTION_FILES["glove_6b"], name="glove-6b-100d")
     senna = read_embeddings(REPRODUCTION_FILES["senna"], name="senna")
     glove840b = read_embeddings(REPRODUCTION_FILES["glove_840b"], name="glove-840b-300d")
@@ -313,17 +312,17 @@ def test_criterion_7_reproduces_published_overlap_and_coverage():
         "glove-840b-300d": (41.7, 40.6, 83.2, 88.5),
     }
     for table, names in ((senna, "senna"), (glove840b, "glove-840b-300d")):
-        row = pair_report(glove6b, table, train, dev, k=10, n=200, threads=threads)
+        row = pair_report(glove6b, table, train, dev, k=10, n=200)
         want = expected[names]
         got = (row.overlap_train, row.overlap_dev, row.attested_train, row.attested_dev)
         for g, w in zip(got, want):
             assert abs(g - w) <= tol, f"{names}: got {got}, want {want} within {tol}"
 
-    gn_row = pair_report(glove6b, gnews, train, dev, k=10, n=200, threads=threads)
+    gn_row = pair_report(glove6b, gnews, train, dev, k=10, n=200)
     assert abs(gn_row.attested_train - 55.9) <= tol, gn_row
     assert abs(gn_row.attested_dev - 65.1) <= tol, gn_row
 
-    verdicts = recommend([glove6b, senna, gnews], train, dev, threads=threads)
+    verdicts = recommend([glove6b, senna, gnews], train, dev)
     by_pair = {frozenset((v.embedding_a, v.embedding_b)): v for v in verdicts}
     assert by_pair[frozenset(("glove-6b-100d", "senna"))].recommended is True
     assert by_pair[frozenset(("glove-6b-100d", "google-news"))].recommended is False

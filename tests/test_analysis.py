@@ -106,7 +106,7 @@ def test_knn_zero_query_returns_token_smallest_rows():
     assert all(s == float("-inf") for _, s in ns.neighbors)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("threads", [1, 2, 4, None])
 def test_batch_topk_across_chunks_matches_oracle(monkeypatch, threads):
     # 45 rows in chunks of 7 (the last one shorter than k): tied rows, zero
     # rows and query rows sit on both sides of chunk boundaries

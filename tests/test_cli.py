@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -525,6 +526,47 @@ def test_combine_rejects_bad_splits_before_reading(capsys, tmp_path, splits, nam
     assert "--splits" in err and named in err
 
 
+def test_similarity_shared_vocab_only_rejects_k_above_the_shared_rows(capsys, tmp_path):
+    a = tmp_path / "A.glove"
+    a.write_text("a 1 0\nb 0 1\nc 1 1\nd 1 2\ne 2 1\n")
+    b = tmp_path / "B.glove"
+    b.write_text("a 1 0\nb 0 1\nx 1 1\ny 1 2\nz 2 1\n")
+    data = tmp_path / "q.conll"
+    data.write_text("a O\nb O\n")
+    argv = ["similarity", "--emb-a", str(a), "--emb-b", str(b), "--data", str(data),
+            "--shared-vocab-only", "--stable"]
+    # each table shares only a and b: a query has one candidate left
+    code, out, err = run(capsys, *argv, "--k", "3")
+    assert code == 1 and out == ""
+    assert err == "error: k=3 out of range for table 'A': 2 shared rows\n"
+    rep = run_json(capsys, *argv, "--k", "1")
+    assert rep["k"] == 1 and rep["mean_jaccard_pct"] == 100.0
+    # a query row outside the mask keeps every shared row: "The" finds
+    # A's "the", which is not in B, so A's two shared rows serve k=2
+    a.write_text("the 1 0\nx1 0 1\nx2 1 1\n")
+    b.write_text("The 1 0\nx1 0 1\nx2 1 2\n")
+    data.write_text("The O\n")
+    rep = run_json(capsys, *argv, "--k", "2", "--raw")
+    assert rep["per_query"] == {"The": 1.0}
+
+
+def test_convert_refuses_a_token_with_a_space_before_writing(capsys, tmp_path):
+    # a GloVe 840B-style token read leniently cannot be written back in
+    # either format; the previous output stays as it was
+    emb = tmp_path / "spacey.glove"
+    emb.write_text("the 1 2 3\nNew York 4 5 6\ncity 7 8 9\n")
+    out = tmp_path / "out.glove"
+    out.write_bytes(b"previous output\n")
+    for to in ("glove", "glove-header", "w2v"):
+        code, stdout, err = run(
+            capsys, "convert", "--emb", str(emb), "--out", str(out), "--to", to, "--stable"
+        )
+        assert code == 1 and stdout == ""
+        assert "'New York'" in err
+        assert out.read_bytes() == b"previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.glove", "spacey.glove"]
+
+
 def test_combine_threads_change_only_the_recorded_option(capsys, tmp_path, conll_file):
     emb1 = tmp_path / "one.glove"
     emb1.write_text("eu 1 0\nEU 2 2\npeter 0 1\n")
@@ -653,13 +695,19 @@ def test_manifest_records_a_format_option_by_name(capsys, tmp_path):
     assert rep["format"] == "Word2VecBinary" and "to" not in rep["manifest"]["options"]
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("EMBCAT_THREADS", "3")
-    rep = run_json(capsys, "info", "--emb", FIXTURE, "--stable")
+def test_omitted_threads_recorded_as_null_on_any_machine(capsys, monkeypatch):
+    outs = []
+    for cores in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, out, err = run(capsys, "info", "--emb", FIXTURE, "--stable")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["manifest"]["options"]["threads"] is None
+    rep = run_json(capsys, "info", "--emb", FIXTURE, "--stable", "--threads", "3")
     assert rep["manifest"]["options"]["threads"] == 3
-    monkeypatch.setenv("EMBCAT_THREADS", "zero")
-    code, _, _ = run(capsys, "info", "--emb", FIXTURE)
-    assert code == 2
+    code, _, err = run(capsys, "info", "--emb", FIXTURE, "--threads", "0")
+    assert code == 2 and "--threads" in err
 
 
 def test_module_entry_point():
