@@ -35,7 +35,6 @@ from .embio import (
     Format,
     RandomBackfill,
     detect_format,
-    random_vector,
     random_vectors,
     read_embeddings,
     write_embeddings,
@@ -79,7 +78,6 @@ __all__ = [
     "knn",
     "model_vocab",
     "pair_report",
-    "random_vector",
     "random_vectors",
     "read_conll",
     "read_embeddings",

@@ -234,67 +234,62 @@ def pairwise_similarity(
     over the distinct rows of every query that resolves in it (list by
     list, in query order); `masks[i]`, when given, limits table i's
     candidate rows, which must leave every searched query k of them.
-    Before any search, each mask, then each list and then each pair is
-    checked: k against both tables, then every query, which is skipped
-    with a reason when it is a duplicate or missing from either table.
+    Before any search, k is checked once per table: every mask, then every
+    range. Scoring reads only table names, {query: row} and {row: neighbor
+    set} per table: a query is skipped with a reason when it is a duplicate
+    or missing from either table, and a list that no pair can score raises.
     """
     hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
+    # per table, {query: row} of the queries that resolve in it
+    rows = [{q: h[0] for q, h in hit.items() if h is not None} for hit in hits]
     masks = masks or [None] * len(tables)
-    for t, hit, mask in zip(tables, hits, masks):
+    for t, row_of, mask in zip(tables, rows, masks):
         # a searched row inside the mask is not its own candidate
-        rows = [h[0] for h in hit.values() if h is not None]
-        if mask is not None and rows and k > mask.sum() - int(mask[rows].max()):
+        if mask is not None and row_of and k > mask.sum() - int(mask[list(row_of.values())].max()):
             raise DataError(f"k={k} out of range for table {t.name!r}: {mask.sum()} shared rows")
+    for t in tables:
+        if not 1 <= k <= len(t) - 1:
+            raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
+
+    fold = str.lower if fold_case else str
+    sets = []  # per table, {row: neighbor set}
+    for t, row_of, mask in zip(tables, rows, masks):
+        searched = list(dict.fromkeys(row_of.values()))
+        tops = _batch_topk(t, searched, k, row_mask=mask, threads=threads)
+        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(searched, tops)})
+
+    names = [t.name for t in tables]
     pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]
-    checked = []  # (list index, i, j, used queries, skipped queries)
-    for li, queries in enumerate(query_lists):
+    reports: list[dict[tuple[int, int], SimilarityReport]] = []
+    for queries in query_lists:
+        scored = {}
         for i, j in pairs:
-            for t in (tables[i], tables[j]):
-                if not 1 <= k <= len(t) - 1:
-                    raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
-            used: list[str] = []
+            per_query: dict[str, float] = {}
             skipped: list[tuple[str, str]] = []
             seen: set[str] = set()
             for q in queries:
-                missing = [tables[x].name for x in (i, j) if hits[x][q] is None]
+                missing = [names[x] for x in (i, j) if q not in rows[x]]
                 if q in seen:
                     skipped.append((q, "duplicate query"))
                 elif missing:
                     skipped.append((q, "not in " + " or ".join(missing)))
                 else:
-                    used.append(q)
+                    per_query[q] = jaccard(sets[i][rows[i][q]], sets[j][rows[j][q]])
                 seen.add(q)
-            if used:
-                checked.append((li, i, j, used, skipped))
-
-    fold = str.lower if fold_case else str
-    sets = []
-    for t, hit, mask in zip(tables, hits, masks):
-        resolved = (hit[q] for qs in query_lists for q in qs)
-        rows = list(dict.fromkeys(h[0] for h in resolved if h is not None))
-        tops = _batch_topk(t, rows, k, row_mask=mask, threads=threads)
-        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(rows, tops)})
-
-    reports: list[dict[tuple[int, int], SimilarityReport]] = [{} for _ in query_lists]
-    for li, i, j, used, skipped in checked:
-        per_query = {q: jaccard(sets[i][hits[i][q][0]], sets[j][hits[j][q][0]]) for q in used}
-        reports[li][i, j] = SimilarityReport(
-            mean_jaccard_pct=100.0 * sum(per_query.values()) / len(per_query),
-            per_query=per_query,
-            k=k,
-            n_requested=len(query_lists[li]),
-            n_used=len(used),
-            n_skipped=len(skipped),
-            skipped=tuple(skipped),
-        )
+            if per_query:
+                scored[i, j] = SimilarityReport(
+                    mean_jaccard_pct=100.0 * sum(per_query.values()) / len(per_query),
+                    per_query=per_query,
+                    k=k,
+                    n_requested=len(queries),
+                    n_used=len(per_query),
+                    n_skipped=len(skipped),
+                    skipped=tuple(skipped),
+                )
+        if not scored:
+            raise DataError("no shared queries")
+        reports.append(scored)
     return reports
-
-
-def _scored(sims: dict[tuple[int, int], SimilarityReport]) -> SimilarityReport:
-    """The report of the one pair (0, 1), which needs a shared query."""
-    if (0, 1) not in sims:
-        raise DataError("no shared queries")
-    return sims[0, 1]
 
 
 def embedding_similarity(
@@ -321,7 +316,7 @@ def embedding_similarity(
     sims = pairwise_similarity(
         [table_a, table_b], [queries], k, fold_case, masks=[mask_a, mask_b], threads=threads
     )
-    return _scored(sims[0])
+    return sims[0][0, 1]
 
 
 def coverage(
@@ -362,7 +357,7 @@ def pair_report(
     searched once, over the train then the dev queries."""
     queries = [top_n_types(train, n), top_n_types(dev, n)]
     sims = pairwise_similarity([table_a, table_b], queries, k, fold_case, threads=threads)
-    sim_train, sim_dev = (_scored(s) for s in sims)
+    sim_train, sim_dev = (s[0, 1] for s in sims)
     return PairReport(
         embedding_a=table_a.name,
         embedding_b=table_b.name,

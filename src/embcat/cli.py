@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -331,6 +332,9 @@ def _cmd_combine(args):
 
 
 def _cmd_recommend(args):
+    for option, tau in (("--tau-sim", args.tau_sim), ("--tau-cov", args.tau_cov)):
+        if not math.isfinite(tau):
+            raise ValueError(f"{option} must be finite, got {tau}")
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
     tables, paths = _load_tables(args)

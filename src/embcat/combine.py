@@ -244,8 +244,6 @@ def recommend(
     cov_train = {t.name: coverage(train, t, fold_case).attested_pct for t in tables}
     cov_dev = {t.name: coverage(dev, t, fold_case).attested_pct for t in tables}
     sims = pairwise_similarity(tables, [queries], k, fold_case, threads=threads)[0]
-    if not sims:
-        raise DataError("no shared queries")
     verdicts = []
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):

@@ -87,24 +87,18 @@ def _float32_range(low: float, high: float) -> tuple[np.float32, np.float32]:
     return lo, hi
 
 
-def random_vector(backfill: RandomBackfill, table_name: str, token: str, dim: int) -> np.ndarray:
-    """Deterministic float32 vector with entries uniform in [low, high).
-
-    The key is the 8-byte blake2b digest of the seed modulo 2**64 (8 bytes,
-    little-endian), the length of the UTF-8 table name (4 bytes,
-    little-endian), the name and the UTF-8 token, read as a little-endian
-    integer. The vector is numpy's `default_rng(key).uniform(low, high,
-    dim)` cast to float32 and clamped into [low, high), so identical inputs
-    give identical vectors across runs and call orders. It is row 0 of
-    `random_vectors` for the one token.
-    """
-    return random_vectors(backfill, table_name, [token], dim)[0]
-
-
 def random_vectors(backfill: RandomBackfill, table_name: str, tokens, dim: int) -> np.ndarray:
-    """The len(tokens)×dim float32 matrix whose row i is
-    `random_vector(backfill, table_name, tokens[i], dim)`: the tokens are
-    keyed one by one, and the rows drawn together."""
+    """The len(tokens)×dim float32 matrix whose row i is the keyed backfill
+    vector of tokens[i]: entries uniform in [low, high).
+
+    A token's key is the 8-byte blake2b digest of the seed modulo 2**64 (8
+    bytes, little-endian), the length of the UTF-8 table name (4 bytes,
+    little-endian), the name and the UTF-8 token, read as a little-endian
+    integer. Its row is numpy's `default_rng(key).uniform(low, high, dim)`
+    cast to float32 and clamped into [low, high), so identical inputs give
+    identical vectors across runs, call orders and batches. The tokens are
+    keyed one by one, and the rows drawn together.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     name_b = table_name.encode("utf-8")

@@ -2,6 +2,7 @@ import hashlib
 import mmap
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ from embcat.embio import (
     log,
 )
 from embcat.errors import DataError, utf8_input
+
+# tests that run `python -m embcat.cli` as a child process import the
+# checkout's package, as pytest does (`pythonpath` in pyproject.toml)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_table(name, words, vectors) -> EmbeddingTable:

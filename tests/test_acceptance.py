@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ablated_reference, make_table, tables_equal
+from conftest import ablated_reference, make_table, oracle_vector, tables_equal
 from embcat.analysis import embedding_similarity, knn, pair_report
 from embcat.cli import main
 from embcat.combine import CombinePolicy, ModelVocab, combine, recommend
@@ -24,7 +24,6 @@ from embcat.embio import (
     EmbeddingTable,
     Format,
     RandomBackfill,
-    random_vector,
     read_embeddings,
     write_embeddings,
 )
@@ -242,7 +241,7 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
         kept_comp, kept_match = set(), set()
         for i, w in enumerate(second.words):
             pre = second.vectors[i]
-            rnd = random_vector(backfill, "second", w, dim)
+            rnd = oracle_vector(backfill, "second", w, dim)
             assert np.array_equal(rand[i], rnd)
             if np.array_equal(comp[i], pre):
                 kept_comp.add(w)
@@ -274,10 +273,10 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
             fa = row[: a.dim]
             fb = row[a.dim :]
             ok_a = (typ in a and np.array_equal(fa, a.row(typ))) or np.array_equal(
-                fa, random_vector(backfill, "A", typ, a.dim)
+                fa, oracle_vector(backfill, "A", typ, a.dim)
             )
             ok_b = (typ in src_b and np.array_equal(fb, src_b.row(typ))) or np.array_equal(
-                fb, random_vector(backfill, "B", typ, b.dim)
+                fb, oracle_vector(backfill, "B", typ, b.dim)
             )
             assert ok_a and ok_b
 
@@ -392,11 +391,11 @@ def test_criterion_8_manifest_verified_variant_exports(tmp_path):
     comp = read_embeddings(tmp_path / "conll.complement-second.glove")
     match = read_embeddings(tmp_path / "conll.matched-second.glove")
     assert np.array_equal(concat.row("eu")[3:], [5, 5])
-    assert np.array_equal(rand.row("eu")[3:], random_vector(bf, "two", "eu", 2))
+    assert np.array_equal(rand.row("eu")[3:], oracle_vector(bf, "two", "eu", 2))
     # complement: eu is in table one's vocabulary, so its two-slice randomizes
-    assert np.array_equal(comp.row("eu")[3:], random_vector(bf, "two", "eu", 2))
+    assert np.array_equal(comp.row("eu")[3:], oracle_vector(bf, "two", "eu", 2))
     # matched keeps it
     assert np.array_equal(match.row("eu")[3:], [5, 5])
     # brussels is NOT in table one: complement keeps, matched randomizes
     assert np.array_equal(comp.row("brussels")[3:], [6, 6])
-    assert np.array_equal(match.row("brussels")[3:], random_vector(bf, "two", "brussels", 2))
+    assert np.array_equal(match.row("brussels")[3:], oracle_vector(bf, "two", "brussels", 2))

@@ -425,3 +425,24 @@ def test_similarity_searches_each_table_once(monkeypatch, shared_vocab_only):
         ("A", [a.index["the"], a.index["w00"], a.index["w36"]]),
         ("B", [b.index["the"], b.index["w00"], b.index["zz"]]),
     ]
+
+
+def test_k_is_checked_before_any_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    a = make_table("a", ["x", "y", "z"], np.eye(3))
+    c = make_table("c", ["x", "p"], np.eye(2))
+    d = make_table("d", ["x", "q"], np.eye(2))
+    counts = _counts({"x": 2, "p": 1}, split="train")
+    with pytest.raises(DataError, match="out of range for table 'c'"):
+        recommend([a, c, d], counts, counts, k=2, n=2)
+    assert calls == []
+
+
+def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    a, b = _cased_pair()
+    train = _counts({"w00": 1}, split="train")
+    dev = _counts({"zz": 1}, split="dev")
+    with pytest.raises(DataError, match="no shared queries"):
+        pair_report(a, b, train, dev, k=3, n=5)
+    assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"], b.index["zz"]])]

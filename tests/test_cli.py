@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import make_table, oracle_vector
 from embcat.cli import main
-from embcat.embio import Format, RandomBackfill, random_vector, read_embeddings, write_embeddings
+from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
 
 FIXTURE = "tests/fixtures/tiny.glove"
@@ -390,7 +390,7 @@ def test_combine_cli_with_sidecar(capsys, tmp_path, conll_file):
     assert table.dim == 5
     # backfill slice reproducible from the sidecar's seed
     bf = RandomBackfill(99)
-    assert np.array_equal(table.row("peter")[2:], random_vector(bf, "two", "peter", 3))
+    assert np.array_equal(table.row("peter")[2:], oracle_vector(bf, "two", "peter", 3))
     sidecar = json.loads((tmp_path / "combined.glove.manifest.json").read_text())
     assert sidecar["seed"] == 99
     assert sidecar["output_sha256"] == rep["output_sha256"]
@@ -444,7 +444,7 @@ def test_combine_cli_policy(capsys, tmp_path, conll_file):
     # eu overlaps: kept; german is not in table one: randomized
     assert np.array_equal(table.row("eu")[2:], [5, 5])
     assert np.array_equal(
-        table.row("german")[2:], random_vector(RandomBackfill(4), "two", "german", 2)
+        table.row("german")[2:], oracle_vector(RandomBackfill(4), "two", "german", 2)
     )
 
 
@@ -631,6 +631,71 @@ def test_recommend_cli_reports_an_unscored_pair(capsys, tmp_path, conll_file):
     assert code == 0 and out.splitlines()[3].split() == ["one", "two", "None", "40", "40", "False"]
     code, _, err = run(capsys, "recommend", *args[:4], *common)
     assert code == 1 and "no shared queries" in err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--tau-sim", "nan"), ("--tau-cov", "inf"), ("--tau-sim", "-inf")]
+)
+def test_recommend_rejects_a_non_finite_threshold(capsys, tmp_path, conll_file, option, value):
+    # no pair can pass `overlap < nan`, and NaN and Infinity are not JSON
+    emb = tmp_path / "a.glove"
+    emb.write_text("eu 1 0\ngerman 0 1\npeter 1 1\n")
+    common = ["--train", conll_file, "--dev", conll_file, "--k", "2", f"{option}={value}"]
+    code, out, err = run(capsys, "recommend", "--emb", f"a={emb}", "--emb", f"b={emb}", *common)
+    assert code == 2 and out == "" and option in err
+    # a usage error, raised before any file is read
+    missing = str(tmp_path / "missing.glove")
+    code, _, err = run(capsys, "recommend", "--emb", missing, "--emb", missing, *common)
+    assert code == 2 and option in err
+
+
+def test_combine_min_count_errors(capsys, tmp_path, conll_file):
+    argv = ["combine", "--emb", FIXTURE, "--data", conll_file, "--out", str(tmp_path / "c.glove")]
+    # every type of the corpus occurs once
+    code, _, err = run(capsys, *argv, "--min-count", "2")
+    assert code == 1 and "no types reach min_count=2" in err
+    code, _, err = run(capsys, *argv, "--min-count", "0")
+    assert code == 2 and "min_count must be >= 1" in err
+    assert not (tmp_path / "c.glove").exists()
+
+
+def test_convert_tags_without_sentences_exits_1(capsys, tmp_path):
+    data = tmp_path / "empty.conll"
+    data.write_text("-DOCSTART- -X- O\n\n\n")
+    out = tmp_path / "out.conll"
+    code, _, err = run(
+        capsys, "convert-tags", "--data", str(data), "--out", str(out),
+        "--from", "bio", "--to", "iobes",
+    )
+    assert code == 1 and err == f"error: {data}: no sentences\n"
+    assert not out.exists()
+
+
+def test_coverage_of_a_text_dataset_without_examples_exits_1(capsys, tmp_path):
+    data = tmp_path / "blank.tsv"
+    data.write_text("\n\n")
+    code, _, err = run(
+        capsys, "coverage", "--emb", FIXTURE, "--data", str(data), "--data-kind", "text"
+    )
+    assert code == 1 and f"{data}: no examples" in err
+
+
+def test_similarity_text_report_lists_skipped_queries(capsys, tmp_path, conll_file):
+    a = tmp_path / "A.glove"
+    a.write_text("blackburn 1 0\neu 0 1\ngerman 1 1\n")
+    b = tmp_path / "B.glove"
+    b.write_text("eu 0 1\ngerman 1 1\nxb 1 0\n")
+    # the top 3 types are blackburn, eu and german: blackburn is not in B
+    code, out, _ = run(
+        capsys, "similarity", "--emb-a", str(a), "--emb-b", str(b),
+        "--data", conll_file, "--top-n", "3", "--k", "1", "--format", "text", "--stable",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[6].split() == ["n_skipped", "1"]
+    # the skipped list renders one [query, reason] item per line
+    assert lines[lines.index("skipped:") + 1] == "  ['blackburn', 'not in B']"
+
 
 def test_score_cli(capsys, tmp_path):
     gold = tmp_path / "gold.conll"

@@ -31,7 +31,7 @@ from embcat.embio import (
     EmbeddingTable,
     Format,
     RandomBackfill,
-    random_vector,
+    random_vectors,
     read_embeddings,
     write_embeddings,
 )
@@ -155,13 +155,13 @@ def test_transform_matched_full_overlap_is_identity():
 def test_transform_complement_full_overlap_all_random():
     got = ablated_slices(["a", "b", "c"], "ComplementSecond")
     for i, w in enumerate(second_table().words):
-        assert np.array_equal(got[i], random_vector(BF, "second", w, 2))
+        assert np.array_equal(got[i], oracle_vector(BF, "second", w, 2))
 
 
 def test_transform_random_second():
     got = ablated_slices(["b"], "RandomSecond")
     for i, w in enumerate(second_table().words):
-        assert np.array_equal(got[i], random_vector(BF, "second", w, 2))
+        assert np.array_equal(got[i], oracle_vector(BF, "second", w, 2))
 
 
 def test_transform_partition():
@@ -190,7 +190,7 @@ def test_transform_partition_property(overlap, seed):
     match = ablated_slices(sorted(overlap), "MatchedSecond", t, bf)
     for i, w in enumerate(words):
         pre = t.vectors[i]
-        rnd = random_vector(bf, "s", w, 3)
+        rnd = oracle_vector(bf, "s", w, 3)
         if w in overlap:
             assert np.array_equal(comp[i], rnd)
             assert np.array_equal(match[i], pre)
@@ -206,7 +206,7 @@ def test_ablation_keys_replaced_rows_by_resolved_token():
     first = make_table("first", ["The"], [[1.0]])
     second = make_table("second", ["the"], [[2.0, 3.0]])
     vocab = mv("The", "the")
-    rnd = random_vector(BF, "second", "the", 2)
+    rnd = oracle_vector(BF, "second", "the", 2)
     comp = combine([first, second], vocab, CombinePolicy("ComplementSecond"), BF)
     assert np.array_equal(comp.vectors[:, 1:], [[2.0, 3.0], [2.0, 3.0]])
     for kind in ("MatchedSecond", "RandomSecond"):
@@ -277,7 +277,7 @@ def test_combine_draws_across_key_blocks(monkeypatch):
         out = combine(tables, vocab, policy, BF)
         assert np.array_equal(out.vectors, _reference_combine(tables, types, policy, True)), kind
     with pytest.raises(ValueError):
-        random_vector(BF, "A", "w00", 0)
+        random_vectors(BF, "A", ["w00"], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,9 @@ def test_combine_dims_and_rows():
     assert np.array_equal(out.row("b"), [0, 1, 0, 5, 6])
     # a only in first: second slice is that table's keyed backfill
     assert np.array_equal(out.row("a")[:3], [1, 0, 0])
-    assert np.array_equal(out.row("a")[3:], random_vector(BF, "second", "a", 2))
+    assert np.array_equal(out.row("a")[3:], oracle_vector(BF, "second", "a", 2))
     # c only in second
-    assert np.array_equal(out.row("c")[:3], random_vector(BF, "first", "c", 3))
+    assert np.array_equal(out.row("c")[:3], oracle_vector(BF, "first", "c", 3))
     assert np.array_equal(out.row("c")[3:], [7, 8])
 
 
@@ -322,7 +322,7 @@ def test_combine_lookup_policy_applies():
     out = combine([t], mv("The"), CombinePolicy(), BF)
     assert out.row("The")[0] == 3.0
     out_exact = combine([t], mv("The"), CombinePolicy(), BF, fold_case=False)
-    assert np.array_equal(out_exact.row("The"), random_vector(BF, "low", "The", 1))
+    assert np.array_equal(out_exact.row("The"), oracle_vector(BF, "low", "The", 1))
 
 
 def test_combine_name_collision():
@@ -347,12 +347,12 @@ def test_combine_second_policy_end_to_end():
     vocab = mv("a", "b", "c")
     out = combine([first, second], vocab, CombinePolicy("ComplementSecond"), BF)
     # b is in first's vocab: second's contribution is its keyed random vector
-    assert np.array_equal(out.row("b")[3:], random_vector(BF, "second", "b", 2))
+    assert np.array_equal(out.row("b")[3:], oracle_vector(BF, "second", "b", 2))
     # c is not in first's vocab: pretrained row kept
     assert np.array_equal(out.row("c")[3:], [7, 8])
     out = combine([first, second], vocab, CombinePolicy("MatchedSecond"), BF)
     assert np.array_equal(out.row("b")[3:], [5, 6])
-    assert np.array_equal(out.row("c")[3:], random_vector(BF, "second", "c", 2))
+    assert np.array_equal(out.row("c")[3:], oracle_vector(BF, "second", "c", 2))
 
 
 def _is_lookup_or_backfill(row_slice, table, typ):
@@ -360,7 +360,7 @@ def _is_lookup_or_backfill(row_slice, table, typ):
     backfill vector, never a mixture."""
     if typ in table and np.array_equal(row_slice, table.row(typ)):
         return True
-    return np.array_equal(row_slice, random_vector(BF, table.name, typ, table.dim))
+    return np.array_equal(row_slice, oracle_vector(BF, table.name, typ, table.dim))
 
 
 def test_combine_projection_property():
@@ -525,8 +525,8 @@ def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
 
 
 def test_recommend_errors_follow_pair_order():
-    # c and d are too small for k: the first pair with one of them names it,
-    # as when each pair was searched in turn
+    # c and d are too small for k: k is checked once per table, in table
+    # order, so the first of them in the list is named
     a = make_table("a", ["x", "y", "z"], np.eye(3))
     c = make_table("c", ["x", "p"], np.eye(2))
     d = make_table("d", ["x", "q"], np.eye(2))

@@ -25,7 +25,6 @@ from embcat.embio import (
     _float32_range,
     atomic_output,
     detect_format,
-    random_vector,
     random_vectors,
     read_embeddings,
     resolve_index,
@@ -99,21 +98,21 @@ def test_lookup_exact_only_policy():
 
 def test_random_vector_is_pure():
     bf = RandomBackfill(1234)
-    a = random_vector(bf, "glove", "dog", 50)
-    b = random_vector(bf, "glove", "dog", 50)
+    a = random_vectors(bf, "glove", ["dog"], 50)[0]
+    b = random_vectors(bf, "glove", ["dog"], 50)[0]
     assert np.array_equal(a, b)
     assert a.dtype == np.float32 and a.shape == (50,)
 
 
 def test_random_vector_keying():
     bf = RandomBackfill(1234)
-    base = random_vector(bf, "glove", "dog", 8)
-    assert not np.array_equal(base, random_vector(bf, "senna", "dog", 8))
-    assert not np.array_equal(base, random_vector(bf, "glove", "cat", 8))
-    assert not np.array_equal(base, random_vector(RandomBackfill(1235), "glove", "dog", 8))
+    base = random_vectors(bf, "glove", ["dog"], 8)[0]
+    assert not np.array_equal(base, random_vectors(bf, "senna", ["dog"], 8)[0])
+    assert not np.array_equal(base, random_vectors(bf, "glove", ["cat"], 8)[0])
+    assert not np.array_equal(base, random_vectors(RandomBackfill(1235), "glove", ["dog"], 8)[0])
     # name/token boundary cannot be shifted to collide
     assert not np.array_equal(
-        random_vector(bf, "ab", "c", 8), random_vector(bf, "a", "bc", 8)
+        random_vectors(bf, "ab", ["c"], 8)[0], random_vectors(bf, "a", ["bc"], 8)[0]
     )
 
 
@@ -154,19 +153,19 @@ def test_random_vectors_follow_the_documented_keying(tokens, name, seed, dim):
     assert got.shape == (len(tokens), dim)
     for row, token in zip(got, tokens):
         assert np.array_equal(row.view(np.uint32), oracle_vector(bf, name, token, dim).view(np.uint32))
-        assert np.array_equal(row, random_vector(bf, name, token, dim))
+        assert np.array_equal(row, random_vectors(bf, name, [token], dim)[0])
 
 
 def test_random_vector_bounds():
     bf = RandomBackfill(7, low=-0.25, high=0.25)
-    v = random_vector(bf, "t", "w", 4096)
+    v = random_vectors(bf, "t", ["w"], 4096)[0]
     assert v.min() >= -0.25 and v.max() < 0.25
 
 
 def test_random_vector_never_reaches_high():
     # a float64 draw within 2**-27 of 0.25 rounds onto 0.25 in float32;
     # this key draws one, and the value is clamped to the float32 below
-    v = random_vector(RandomBackfill(1234), "S", "xuhaaous", 50)
+    v = random_vectors(RandomBackfill(1234), "S", ["xuhaaous"], 50)[0]
     assert v.max() == np.nextafter(np.float32(0.25), np.float32(0))
     assert v.min() >= -0.25
 
@@ -181,7 +180,7 @@ def test_backfill_float32_range_is_inside_the_bounds(low, high):
     assert low <= float(lo) and float(np.nextafter(lo, np.float32(-np.inf))) < low
     assert float(hi) < high and float(np.nextafter(hi, np.float32(np.inf))) >= high
     bf = RandomBackfill(3, low=low, high=high)
-    v = random_vector(bf, "t", "w", 4096).astype(np.float64)
+    v = random_vectors(bf, "t", ["w"], 4096)[0].astype(np.float64)
     assert v.min() >= low and v.max() < high
 
 
@@ -202,9 +201,9 @@ def test_backfill_validation():
         with pytest.raises(ValueError, match=r"need both ends in \[-3\.4028235e\+38, "):
             RandomBackfill(1, low=low, high=high)
     widest = RandomBackfill(1, low=-3.4028235e38, high=3.4028235e38)
-    assert np.isfinite(random_vector(widest, "t", "w", 64)).all()
+    assert np.isfinite(random_vectors(widest, "t", ["w"], 64)[0]).all()
     with pytest.raises(ValueError):
-        random_vector(RandomBackfill(1), "t", "w", 0)
+        random_vectors(RandomBackfill(1), "t", ["w"], 0)[0]
 
 
 # ---------------------------------------------------------------------------
