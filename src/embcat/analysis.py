@@ -5,20 +5,24 @@ a table attests ("attested"), and how similar two tables' neighborhood
 structures are ("overlap": mean Jaccard of the k-nearest-neighbor token
 sets of frequent words, each table searched in its own space).
 
-k-NN here is exact brute force. Similarities are computed in double
-precision over fixed-size vocabulary chunks, so results are identical for
-any thread count; ties are broken token-ascending. One engine,
+k-NN here is exact brute force, in two stages. A float32 screen over
+vocabulary chunks keeps every row that a rigorous rounding-error bound
+cannot rule out of the top k; the survivors are then rescored with
+correctly rounded float64 sums, so each similarity is a function of the two
+vectors alone, and ties are broken token-ascending. Results are identical
+for any thread count, chunk size or batch of other queries. One engine,
 `pairwise_similarity`, answers every overlap question (`embedding_similarity`,
 `pair_report`, and `recommend`): it resolves each query once per table,
-searches each table once over the distinct rows of every query that
-resolves in it, and scores every pair of every query list as Jaccard over
-those cached neighbor sets.
+searches each table at most once, over the distinct rows of the queries
+that some pair can score, and scores every pair of every query list as
+Jaccard over those cached neighbor sets.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import os
+from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -28,10 +32,12 @@ from .corpus import VocabCounts, top_n_types
 from .embio import EmbeddingTable, resolve_index
 from .errors import DataError
 
-# rows per vocabulary chunk in the brute-force search; fixed (never derived
-# from thread count) so chunk boundaries, and therefore every floating-point
-# intermediate, are reproducible
-CHUNK_ROWS = 65536
+# rows per chunk of the search's float32 screen. Results do not depend on
+# it, nor on thread count or batch: it sets only the memory of a chunk's
+# temporaries and how the work splits across threads
+CHUNK_ROWS = 8192
+# unit roundoff of float32
+_U = 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -116,41 +122,74 @@ def jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
-def _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k):
-    """Exact per-chunk shortlist: every row tied with or above the chunk's
-    k-th best similarity survives, so no global winner can be dropped."""
-    chunk = table.vectors[lo:hi].astype(np.float64)
-    sims = chunk @ q_mat  # (rows, queries)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a row's norm does not depend on which other rows share the chunk
-        sims /= np.sqrt(np.einsum("ij,ij->i", chunk, chunk))[:, None]
-        sims /= q_norms[None, :]
-    sims[~np.isfinite(sims)] = -np.inf
-    if row_mask is not None:
-        sims[~row_mask[lo:hi], :] = -np.inf
-    for qi, row in enumerate(q_rows):
-        if lo <= row < hi:
-            sims[row - lo, qi] = -np.inf
-    # select along contiguous rows: one (queries, rows) copy, rather than a
-    # strided per-column selection over the (rows, queries) product
-    sims = np.ascontiguousarray(sims.T)
-    m = hi - lo
-    if m > k:
-        kth = np.partition(sims, m - k, axis=1)[:, m - k]
-    else:
-        kth = np.full(sims.shape[0], -np.inf)
-    out = []
-    for qi, q_sims in enumerate(sims):
-        idx = np.nonzero(q_sims >= kth[qi])[0]
-        # sims of excluded rows are -inf for ranking, but when everything
-        # ties at -inf they would survive the >= test: drop them outright
-        if row_mask is not None:
-            idx = idx[row_mask[lo:hi][idx]]
-        row = q_rows[qi]
-        if lo <= row < hi:
-            idx = idx[idx != row - lo]
-        out.append((idx + lo, q_sims[idx]))
-    return out
+def _unit32(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mask of the nonzero rows of `vectors`, and those rows scaled to
+    unit length in float64 and rounded to float32."""
+    v = vectors.astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    nonzero = norms > 0
+    if not nonzero.all():
+        v, norms = v[nonzero], norms[nonzero]
+    v /= norms[:, None]
+    return nonzero, v.astype(np.float32)
+
+
+def _screen(table, lo, hi, row_mask, unit_q, q_rows, k, margin):
+    """Stage 1 over rows [lo, hi): (query, row, screened cosine) of every
+    nonzero candidate row within `margin` of the query's k-th screened
+    value in this chunk."""
+    rows = np.arange(lo, hi) if row_mask is None else lo + np.flatnonzero(row_mask[lo:hi])
+    nonzero, unit = _unit32(table.vectors[rows])
+    rows = rows[nonzero]
+    sims = unit_q @ unit.T  # (queries, rows)
+    # a query is not its own candidate
+    own = np.flatnonzero(np.isin(q_rows, rows))
+    sims[own, np.searchsorted(rows, q_rows[own])] = -np.inf
+    m = len(rows)
+    kth = np.partition(sims, m - k, axis=1)[:, m - k] if m >= k else np.full(len(sims), -np.inf)
+    # the largest float32 at or below kth - margin, so the float32 test
+    # keeps every row the float64 bound keeps
+    lower = kth.astype(np.float64) - margin
+    floor = lower.astype(np.float32)
+    floor = np.where(floor > lower, np.nextafter(floor, np.float32(-np.inf)), floor)
+    hits = np.flatnonzero(sims >= floor[:, None])
+    s = sims.ravel()[hits]
+    finite = s > -np.inf
+    qi, col = np.divmod(hits[finite], m)
+    return qi, rows[col], s[finite]
+
+
+def _fsums(p: np.ndarray) -> list[float]:
+    """`math.fsum` of each row of `p`, a matrix of products of two float32
+    values each (exact in float64), at array speed.
+
+    Each pass splits every remainder r into q + (r - q), with q = (sigma +
+    r) - sigma for sigma = 2^s, 2^s >= 2 * cols * max|r| per row: both the
+    split and the row sum of the q are exact (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    2008), and each pass leaves remainders 2^(53 - t) smaller. Once every
+    remainder is 0 the pass sums add up exactly to the row sum, so their
+    `math.fsum` is its correctly rounded value.
+    """
+    t = max(2, math.ceil(math.log2(2 * p.shape[1])))
+    parts = []
+    while p.any():
+        _, e = np.frexp(np.abs(p).max(axis=1))  # max|r| < 2^e
+        sigma = np.ldexp(1.0, e + t)[:, None]
+        q = p + sigma
+        q -= sigma
+        parts.append(q.sum(axis=1))
+        p = p - q
+    return [math.fsum(row) for row in zip(*parts)] if parts else [0.0] * len(p)
+
+
+def _cosines(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Cosine of each row pair (a[i], b[i]): fsum(x*y) / (sqrt(fsum(x*x)) *
+    sqrt(fsum(y*y))), each sum correctly rounded (`_fsums`), so each
+    cosine is one fixed function of the two vectors alone."""
+    va, vb = vectors[a].astype(np.float64), vectors[b].astype(np.float64)
+    dots, sq_a, sq_b = _fsums(va * vb), _fsums(va * va), _fsums(vb * vb)
+    return [d / (math.sqrt(x) * math.sqrt(y)) for d, x, y in zip(dots, sq_a, sq_b)]
 
 
 def _batch_topk(
@@ -164,37 +203,82 @@ def _batch_topk(
     """Exact top-k by cosine for many query rows at once.
 
     Returns, per query, k (token, similarity) pairs sorted by similarity
-    descending then token ascending. `row_mask` limits candidate rows;
-    query rows are always excluded from their own results. The chunks run
-    on `threads` workers (None: one per core), at most one per chunk.
+    descending then token ascending, the similarity being `_cosines`'s.
+    `row_mask` limits candidate rows; query rows are always excluded from
+    their own results. Zero rows, and every row for a zero query, score
+    -inf: they fill a list, in token order, only after every finite one.
+
+    Stage 1 screens each chunk of `CHUNK_ROWS` rows, on `threads` workers
+    (None: one per core), with one float32 GEMM of the unit query and row
+    vectors. Each screened value s is within E of the exact cosine c:
+    rounding a unit vector's components (normalized in float64) to float32
+    costs each at most 2u relative, u = 2^-24, so the exact product of the
+    rounded vectors is within 4u of c, and their float32 dot product is
+    within gamma_d (1 + 2u)^2 of that (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1, with Cauchy-Schwarz). So
+    E = gamma_d (1 + 2u)^2 + 4u, gamma_d = d u / (1 - d u). The 2u holds a
+    float32 rounding (u) and leaves room for the float64 norm and division,
+    underflow and `_cosines`'s own rounding, each far below u. If s_k is
+    the k-th largest screened value, k rows have c >= s_k - E, so a row
+    that belongs in the top k has c >= s_k - E and s >= s_k - 2E. Each
+    chunk keeps the rows within that margin of its own k-th value, and
+    stage 2 applies it again to each query's k-th value over all chunks
+    and rescores the survivors with `_cosines`. A query's result is then a
+    function of its own vector and the table, whatever the chunk size,
+    thread count or other queries in the batch.
     """
-    n = len(table)
-    q_vec = table.vectors[q_rows].astype(np.float64)
-    q_norms = np.sqrt(np.einsum("ij,ij->i", q_vec, q_vec))
-    q_mat = q_vec.T  # (dim, queries)
+    n, dim = table.vectors.shape
+    q_rows = np.asarray(q_rows, dtype=np.intp)
+    nonzero, unit_q = _unit32(table.vectors[q_rows])
+    searched = q_rows[nonzero]
+    gamma = dim * _U / (1 - dim * _U)
+    margin = 2 * (gamma * (1 + 2 * _U) ** 2 + 4 * _U)
 
-    # the GEMM releases the GIL, so chunks run in parallel
-    def work(lo):
-        hi = min(lo + CHUNK_ROWS, n)
-        return _chunk_candidates(table, row_mask, lo, hi, q_mat, q_norms, q_rows, k)
+    words = table.words
+    tops = []  # per searched query, its finite top k
+    if len(searched):
+        # the GEMM releases the GIL, so chunks run in parallel
+        def work(lo):
+            hi = min(lo + CHUNK_ROWS, n)
+            return _screen(table, lo, hi, row_mask, unit_q, searched, k, margin)
 
-    starts = range(0, n, CHUNK_ROWS)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    with futures.ThreadPoolExecutor(min(threads, len(starts))) as pool:
-        per_chunk = list(pool.map(work, starts))
+        starts = range(0, n, CHUNK_ROWS)
+        if threads is None:
+            threads = os.cpu_count() or 1
+        with futures.ThreadPoolExecutor(min(threads, len(starts))) as pool:
+            qi, rows, s = map(np.concatenate, zip(*pool.map(work, starts)))
+        # stage 2: each query's survivors against its k-th screened value
+        # over all chunks, then the exact rescore
+        order = np.lexsort((-s, qi))
+        qi, rows, s = qi[order], rows[order], s[order]
+        at_k = np.arange(len(qi)) - np.searchsorted(qi, qi) == k - 1
+        kth = np.full(len(searched), -np.inf)
+        kth[qi[at_k]] = s[at_k]
+        keep = s >= kth[qi] - margin
+        qi, rows = qi[keep], rows[keep]
+        cos = []  # in slices: the rows tied with a k-th can be many
+        for i in range(0, len(qi), CHUNK_ROWS):
+            part = slice(i, i + CHUNK_ROWS)
+            cos += _cosines(table.vectors, searched[qi[part]], rows[part])
+        ends = np.searchsorted(qi, np.arange(1, len(searched) + 1)).tolist()
+        rows = rows.tolist()
+        for lo, hi in zip([0] + ends, ends):
+            pairs = zip([words[r] for r in rows[lo:hi]], cos[lo:hi])
+            tops.append(sorted(pairs, key=lambda p: (-p[1], p[0]))[:k])
 
     results = []
-    words = table.words
-    for qi in range(len(q_rows)):
-        cand_idx = np.concatenate([c[qi][0] for c in per_chunk])
-        cand_sim = np.concatenate([c[qi][1] for c in per_chunk])
-        ranked = heapq.nsmallest(
-            k,
-            zip(cand_idx.tolist(), cand_sim.tolist()),
-            key=lambda pair: (-pair[1], words[pair[0]]),
-        )
-        results.append([(words[i], s) for i, s in ranked])
+    finite_tops = iter(tops)
+    for row, has_norm in zip(q_rows.tolist(), nonzero.tolist()):
+        top = next(finite_tops) if has_norm else []
+        if len(top) < k:
+            # too few finite candidates: fill with -inf rows in token order
+            tail = np.ones(n, dtype=bool) if row_mask is None else row_mask.copy()
+            if has_norm:
+                tail &= ~table.vectors.any(axis=1)
+            tail[row] = False
+            fill = sorted(words[i] for i in np.flatnonzero(tail))[: k - len(top)]
+            top += [(w, -np.inf) for w in fill]
+        results.append(top)
     return results
 
 
@@ -230,10 +314,11 @@ def pairwise_similarity(
     query list: one {(i, j): SimilarityReport} dict per list, in pair order,
     that leaves out each pair with no query left in that list.
 
-    Each query is resolved once per table, and each table searched once,
-    over the distinct rows of every query that resolves in it (list by
-    list, in query order); `masks[i]`, when given, limits table i's
-    candidate rows, which must leave every searched query k of them.
+    Each query is resolved once per table, and each table searched at most
+    once, over the distinct rows of every query that resolves in it and in
+    at least one other table (list by list, in query order); `masks[i]`,
+    when given, limits table i's candidate rows, which must leave every
+    searched query k of them.
     Before any search, k is checked once per table: every mask, then every
     range. Scoring reads only table names, {query: row} and {row: neighbor
     set} per table: a query is skipped with a reason when it is a duplicate
@@ -242,10 +327,16 @@ def pairwise_similarity(
     hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
     # per table, {query: row} of the queries that resolve in it
     rows = [{q: h[0] for q, h in hit.items() if h is not None} for hit in hits]
+    # per table, the distinct rows that some pair can score: those of the
+    # queries that resolve in at least one other table too
+    n_tables = Counter(q for row_of in rows for q in row_of)
+    searched = [
+        list(dict.fromkeys(r for q, r in row_of.items() if n_tables[q] > 1)) for row_of in rows
+    ]
     masks = masks or [None] * len(tables)
-    for t, row_of, mask in zip(tables, rows, masks):
+    for t, search, mask in zip(tables, searched, masks):
         # a searched row inside the mask is not its own candidate
-        if mask is not None and row_of and k > mask.sum() - int(mask[list(row_of.values())].max()):
+        if mask is not None and search and k > mask.sum() - int(mask[search].max()):
             raise DataError(f"k={k} out of range for table {t.name!r}: {mask.sum()} shared rows")
     for t in tables:
         if not 1 <= k <= len(t) - 1:
@@ -253,10 +344,9 @@ def pairwise_similarity(
 
     fold = str.lower if fold_case else str
     sets = []  # per table, {row: neighbor set}
-    for t, row_of, mask in zip(tables, rows, masks):
-        searched = list(dict.fromkeys(row_of.values()))
-        tops = _batch_topk(t, searched, k, row_mask=mask, threads=threads)
-        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(searched, tops)})
+    for t, search, mask in zip(tables, searched, masks):
+        tops = _batch_topk(t, search, k, row_mask=mask, threads=threads) if search else []
+        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(search, tops)})
 
     names = [t.name for t in tables]
     pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]

@@ -410,7 +410,8 @@ def _text_render(report: dict, out: list[str], indent: str = ""):
                     _text_render(item, out, indent + "  ")
                     out.append("")
                 else:
-                    out.append(f"{indent}  {_fmt_val(item)}")
+                    values = item if isinstance(item, list) else [item]
+                    out.append(indent + "  " + "  ".join(_fmt_val(x) for x in values))
 
 
 def _text_table(rows: list[dict], columns: list[str]) -> list[str]:

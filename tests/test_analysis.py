@@ -1,8 +1,12 @@
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_table, random_table
 from embcat import analysis
@@ -126,6 +130,155 @@ def test_batch_topk_across_chunks_matches_oracle(monkeypatch, threads):
             got = analysis._batch_topk(t, rows, k, row_mask=row_mask, threads=threads)
             for r, neighbors in zip(rows, got):
                 assert_matches_oracle(neighbors, oracle_knn(t, words[r], k, row_mask))
+
+
+# ---------------------------------------------------------------------------
+# certified search: exact against a rational oracle, and batch-independent
+
+
+def _exact_ints(vector):
+    """A float32 vector as integers in units of 2^-149, the smallest
+    float32 step, so that sums of their products are exact."""
+    return [int(Fraction(float(x)) * 2**149) for x in vector]
+
+
+def exact_cos2(table, a, b):
+    """The signed squared cosine of rows a and b as a Fraction, or None
+    when either row is zero; it orders rows as the exact cosine does."""
+    va, vb = (_exact_ints(table.vectors[i]) for i in (a, b))
+    dot = sum(x * y for x, y in zip(va, vb))
+    sq = sum(x * x for x in va) * sum(y * y for y in vb)
+    return None if sq == 0 else Fraction(dot * abs(dot), sq)
+
+
+def exact_topk(table, row, k, allowed=None):
+    """Tokens of the k rows nearest to `row` by exact cosine, ties and
+    then the -inf rows (zero rows, or every row for a zero query) in token
+    order."""
+
+    def key(i):
+        c2 = exact_cos2(table, row, i)
+        return (1, 0, table.words[i]) if c2 is None else (0, -c2, table.words[i])
+
+    rows = [i for i in range(len(table)) if i != row and (allowed is None or allowed[i])]
+    return [table.words[i] for i in sorted(rows, key=key)[:k]]
+
+
+def _cos(c2):
+    return float("-inf") if c2 is None else math.copysign(math.sqrt(abs(c2)), c2)
+
+
+@st.composite
+def certified_cases(draw):
+    """A small table of seeded random rows plus rows derived from them:
+    copies and power-of-two multiples (exact ties), one-ulp nudges (ties
+    closer than float32 resolves) and zero rows; a mask, queries, k, a
+    chunk size and a thread count."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = list(rng.standard_normal((draw(st.integers(1, 8)), dim)).astype(np.float32))
+    ops = st.tuples(st.sampled_from(["copy", "scale", "nudge", "zero"]),
+                    st.integers(0, 63), st.integers(-3, 3))
+    for op, src, j in draw(st.lists(ops, max_size=16)):
+        v = vecs[src % len(vecs)].copy()
+        if op == "scale":
+            v *= np.float32(2.0**j)
+        elif op == "nudge":
+            v[j % dim] = np.nextafter(v[j % dim], np.float32(np.inf))
+        elif op == "zero":
+            v[:] = 0
+        vecs.append(v)
+    n = len(vecs)
+    words = [f"w{i:02d}" for i in rng.permutation(n)]
+    table = make_table("t", words, np.array(vecs))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    k = draw(st.integers(1, n))
+    return table, mask, rows, k, draw(st.integers(1, n + 1)), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_cases())
+def test_batch_topk_matches_exact_rational_oracle(case):
+    table, mask, rows, k, chunk_rows, threads = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+        got = analysis._batch_topk(table, rows, k, row_mask=mask, threads=threads)
+    for r, neighbors in zip(rows, got):
+        cos2 = {i: exact_cos2(table, r, i) for i in range(len(table)) if i != r}
+        # the rescore rounds in float64: distinct cosines closer than it
+        # resolves (such as a copy and a nudged copy of the query) may tie
+        # or swap there
+        finite = sorted({c2 for c2 in cos2.values() if c2 is not None})
+        assume(all(hi - lo > 1e-12 for lo, hi in zip(finite, finite[1:])))
+        assert [w for w, _ in neighbors] == exact_topk(table, r, k, mask)
+        for w, s in neighbors:
+            want = _cos(cos2[table.index[w]])
+            assert s == want or math.isclose(s, want, rel_tol=1e-14, abs_tol=1e-15)
+
+
+def test_batch_topk_orders_near_ties_that_the_float32_screen_misorders():
+    # each query q has two rows at the same cosine in exact arithmetic (a,
+    # and a reflected about q); rounding to float32 leaves them apart by
+    # about float32's resolution, below what the float32 screen resolves
+    rng = np.random.default_rng(1234)
+    n_q, dim = 60, 8
+    q = rng.standard_normal((n_q, dim))
+    a = q + 0.05 * np.linalg.norm(q, axis=1, keepdims=True) * rng.standard_normal((n_q, dim))
+    qu = q / np.linalg.norm(q, axis=1, keepdims=True)
+    b = 2 * (a * qu).sum(axis=1, keepdims=True) * qu - a
+    words = [f"w{i:03d}" for i in rng.permutation(3 * n_q)]
+    t = make_table("t", words, np.vstack([q, a, b]))
+    rows = list(range(n_q))
+    _, unit = analysis._unit32(t.vectors)
+    screen = unit[rows] @ unit.T
+    misordered = 0
+    for r, neighbors in zip(rows, analysis._batch_topk(t, rows, 1)):
+        want = exact_topk(t, r, 1)
+        assert [w for w, _ in neighbors] == want
+        screen[r, r] = -np.inf
+        screened = min(range(len(t)), key=lambda i: (-screen[r, i], words[i]))
+        misordered += words[screened] != want[0]
+    assert misordered > 0
+
+
+def test_batch_topk_does_not_depend_on_batch_chunks_threads(monkeypatch):
+    # twin rows one ulp apart put near-ties at every rank
+    rng = np.random.default_rng(77)
+    vecs = rng.standard_normal((200, 32)).astype(np.float32)
+    twins = vecs.copy()
+    twins[:, 0] = np.nextafter(twins[:, 0], np.float32(np.inf))
+    t = make_table("t", [f"w{i:03d}" for i in rng.permutation(400)], np.vstack([vecs, twins]))
+    mask = rng.random(400) < 0.8
+    queries = [int(r) for r in rng.choice(400, 50, replace=False)]
+    for row_mask in (None, mask):
+        for q in queries[:2]:
+            others = [r for r in queries if r != q]
+            lists = []
+            for chunk_rows in (7, 65536):
+                monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+                for threads in (1, 2, 4):
+                    # alone, then first, middle and last in a batch of 50
+                    for at in (None, 0, 24, 49):
+                        batch = [q] if at is None else others[:at] + [q] + others[at:]
+                        got = analysis._batch_topk(t, batch, 10, row_mask=row_mask, threads=threads)
+                        lists.append(got[at or 0])
+            assert all(got == lists[0] for got in lists)
+
+
+_float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 40)).flatmap(
+        lambda shape: st.tuples(*[hnp.arrays(np.float32, shape, elements=_float32s)] * 2)
+    )
+)
+def test_fsums_matches_math_fsum(pair):
+    a, b = (x.astype(np.float64) for x in pair)
+    products = a * b
+    assert analysis._fsums(products) == [math.fsum(row) for row in products.tolist()]
 
 
 def test_neighbor_set_validation():
@@ -394,13 +547,13 @@ def test_pair_report_searches_each_table_once(monkeypatch):
     calls = _count_searches(monkeypatch)
     a, b = _cased_pair()
     train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50}, split="train")
-    # w36 is in A only: it is still searched in A, though the pair skips it
+    # w36 is in A only and zz in B only: no pair can score them, so
+    # neither is searched
     dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6}, split="dev")
     pair_report(a, b, train, dev, k=3, n=5)
     assert [name for name, _ in calls] == ["A", "B"]
-    expect_a = [a.index[w] for w in ("the", "dog", "w00", "w36", "w10")]
-    assert calls[0][1] == expect_a
-    assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "zz", "w00", "dog", "w10")]
+    assert calls[0][1] == [a.index[w] for w in ("the", "dog", "w00", "w10")]
+    assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "w00", "dog", "w10")]
 
 
 def test_recommend_searches_each_table_once(monkeypatch):
@@ -421,9 +574,10 @@ def test_similarity_searches_each_table_once(monkeypatch, shared_vocab_only):
     embedding_similarity(
         a, b, ["the", "w00", "w36", "zz"], k=3, shared_vocab_only=shared_vocab_only
     )
+    # w36 (A only) and zz (B only) are skipped unsearched
     assert calls == [
-        ("A", [a.index["the"], a.index["w00"], a.index["w36"]]),
-        ("B", [b.index["the"], b.index["w00"], b.index["zz"]]),
+        ("A", [a.index["the"], a.index["w00"]]),
+        ("B", [b.index["the"], b.index["w00"]]),
     ]
 
 
@@ -445,4 +599,4 @@ def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
     dev = _counts({"zz": 1}, split="dev")
     with pytest.raises(DataError, match="no shared queries"):
         pair_report(a, b, train, dev, k=3, n=5)
-    assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"], b.index["zz"]])]
+    assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"]])]

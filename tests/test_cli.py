@@ -693,8 +693,8 @@ def test_similarity_text_report_lists_skipped_queries(capsys, tmp_path, conll_fi
     assert code == 0
     lines = out.splitlines()
     assert lines[6].split() == ["n_skipped", "1"]
-    # the skipped list renders one [query, reason] item per line
-    assert lines[lines.index("skipped:") + 1] == "  ['blackburn', 'not in B']"
+    # the skipped list renders one query and its reason per line
+    assert lines[lines.index("skipped:") + 1] == "  blackburn  not in B"
 
 
 def test_score_cli(capsys, tmp_path):
