@@ -20,6 +20,7 @@ Jaccard over those cached neighbor sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import VocabCounts, top_n_types
-from .embio import EmbeddingTable, resolve_index
+from .embio import EmbeddingTable, resolve_rows
 from .errors import DataError
 
 # rows per chunk of the search's float32 screen. Results do not depend on
@@ -293,14 +294,6 @@ def knn(table: EmbeddingTable, query: str, k: int, *, threads: int | None = None
     return NeighborSet(query, tuple(rows[0]))
 
 
-def _shared_mask(table: EmbeddingTable, other: EmbeddingTable, fold_case: bool) -> np.ndarray:
-    mask = np.zeros(len(table), dtype=bool)
-    for i, w in enumerate(table.words):
-        if resolve_index(other, w, fold_case) is not None:
-            mask[i] = True
-    return mask
-
-
 def pairwise_similarity(
     tables: list[EmbeddingTable],
     query_lists: list[list[str]],
@@ -324,9 +317,12 @@ def pairwise_similarity(
     set} per table: a query is skipped with a reason when it is a duplicate
     or missing from either table, and a list that no pair can score raises.
     """
-    hits = [{q: resolve_index(t, q, fold_case) for qs in query_lists for q in qs} for t in tables]
+    distinct = list(dict.fromkeys(q for qs in query_lists for q in qs))
     # per table, {query: row} of the queries that resolve in it
-    rows = [{q: h[0] for q, h in hit.items() if h is not None} for hit in hits]
+    rows = []
+    for t in tables:
+        hits = resolve_rows(t, distinct, fold_case).tolist()
+        rows.append({q: r for q, r in zip(distinct, hits) if r >= 0})
     # per table, the distinct rows that some pair can score: those of the
     # queries that resolve in at least one other table too
     n_tables = Counter(q for row_of in rows for q in row_of)
@@ -401,10 +397,14 @@ def embedding_similarity(
     restricts candidates to tokens resolvable in the other table. Neighbor
     tokens are lowercased, when fold_case, before the sets are compared.
     """
-    mask_a = _shared_mask(table_a, table_b, fold_case) if shared_vocab_only else None
-    mask_b = _shared_mask(table_b, table_a, fold_case) if shared_vocab_only else None
+    masks = None
+    if shared_vocab_only:
+        masks = [
+            resolve_rows(table_b, table_a.words, fold_case) >= 0,
+            resolve_rows(table_a, table_b.words, fold_case) >= 0,
+        ]
     sims = pairwise_similarity(
-        [table_a, table_b], [queries], k, fold_case, masks=[mask_a, mask_b], threads=threads
+        [table_a, table_b], [queries], k, fold_case, masks=masks, threads=threads
     )
     return sims[0][0, 1]
 
@@ -416,12 +416,9 @@ def coverage(
     attests, looked up exactly and, when fold_case, lowercased."""
     if not counts.counts:
         raise DataError("empty vocabulary counts")
-    attested = 0
-    covered_tokens = 0
-    for t, c in counts.counts.items():
-        if resolve_index(table, t, fold_case) is not None:
-            attested += 1
-            covered_tokens += c
+    hit = resolve_rows(table, counts.counts, fold_case) >= 0
+    covered_tokens = sum(itertools.compress(counts.counts.values(), hit))
+    attested = int(hit.sum())
     return CoverageReport(
         split=counts.split,
         unique_types=len(counts.counts),

@@ -32,7 +32,6 @@ from .corpus import SPLITS, conll_blocks, read_conll, read_labeled_text, top_n_t
 from .embio import (
     Format,
     RandomBackfill,
-    atomic_output,
     detect_format,
     read_embeddings,
     write_embeddings,
@@ -274,6 +273,10 @@ def _cmd_pair_report(args):
 
 def _cmd_combine(args):
     splits = _parse_splits(args.splits)
+    policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
+    backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
+    if args.min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {args.min_count}")
     tables, paths = _load_tables(args)
     datasets = []
     for spec in args.data:
@@ -283,8 +286,6 @@ def _cmd_combine(args):
     vocab = model_vocab(datasets, splits, args.min_count, _count_normalization(args))
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
-    policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
-    backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
     table = combine(tables, vocab, policy, backfill, args.fold_case)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
@@ -315,9 +316,8 @@ def _cmd_combine(args):
         "version": __version__,
     }
     manifest_path = str(args.out) + ".manifest.json"
-    with atomic_output(manifest_path) as f:
-        json.dump(sidecar, f, indent=2, ensure_ascii=False)
-        f.write("\n")
+    text = json.dumps(sidecar, indent=2, ensure_ascii=False) + "\n"
+    write_hashed(manifest_path, [text.encode("utf-8")])
     return {
         "out": args.out,
         "format": args.to.value,
@@ -406,12 +406,8 @@ def _text_render(report: dict, out: list[str], indent: str = ""):
         elif isinstance(v, list):
             out.append(f"{indent}{k}:")
             for item in v:
-                if isinstance(item, dict):
-                    _text_render(item, out, indent + "  ")
-                    out.append("")
-                else:
-                    values = item if isinstance(item, list) else [item]
-                    out.append(indent + "  " + "  ".join(_fmt_val(x) for x in values))
+                values = item if isinstance(item, list) else [item]
+                out.append(indent + "  " + "  ".join(_fmt_val(x) for x in values))
 
 
 def _text_table(rows: list[dict], columns: list[str]) -> list[str]:
@@ -629,8 +625,10 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         args.fold_case = _parse_normalize(args.normalize)
-        if args.threads is not None and args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        for option in ("threads", "top_n", "k"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{option.replace('_', '-')} must be >= 1, got {value}")
         report = args.func(args)
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)

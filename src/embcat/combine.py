@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import coverage, pairwise_similarity
 from .corpus import VocabCounts, top_n_types, vocab_counts
-from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_index
+from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_rows
 from .errors import DataError
 
 COMBINE_KINDS = ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond")
@@ -158,19 +158,19 @@ def combine(
         # (output row, source row) of the kept slices, (output row, key) of
         # the drawn ones
         kept, rows, drawn, keys = [], [], [], []
-        for r, typ in enumerate(vocab.types):
-            hit = resolve_index(table, typ, fold_case)
-            if hit is None:
+        hits = resolve_rows(table, vocab.types, fold_case).tolist()
+        for r, (typ, row) in enumerate(zip(vocab.types, hits)):
+            if row < 0:
                 drawn.append(r)
                 keys.append(typ)
-            elif ti == policy.applies_to and replaces(table.words[hit[0]]):
+            elif ti == policy.applies_to and replaces(table.words[row]):
                 # keyed by the row's token, not the type: "The" and
                 # "the" resolving to one row share its replacement
                 drawn.append(r)
-                keys.append(table.words[hit[0]])
+                keys.append(table.words[row])
             else:
                 kept.append(r)
-                rows.append(hit[0])
+                rows.append(row)
         out[kept, cols] = table.vectors[rows]
         out[drawn, cols] = random_vectors(backfill, table.name, keys, table.dim)
     # the rows are source rows or finite draws, and the types are unique

@@ -281,20 +281,16 @@ class EmbeddingTable:
         return self.vectors[self.index[token]]
 
 
-def resolve_index(
-    table: EmbeddingTable, token: str, fold_case: bool = True
-) -> tuple[int, str] | None:
-    """Row index and the lookup step that matched: "exact", then, when
-    fold_case, "lowercase" for matching cased text against lowercased
-    vocabularies. None if no step hits."""
-    i = table.index.get(token)
-    if i is not None:
-        return i, "exact"
+def resolve_rows(table: EmbeddingTable, tokens, fold_case: bool = True) -> np.ndarray:
+    """The row of each token under the lookup chain: the token as written,
+    then, when fold_case, `token.lower()` for matching cased text against
+    lowercased vocabularies. -1 where neither is found."""
+    index = table.index
     if fold_case:
-        i = table.index.get(token.lower())
-        if i is not None:
-            return i, "lowercase"
-    return None
+        rows = [index[t] if t in index else index.get(t.lower(), -1) for t in tokens]
+    else:
+        rows = [index.get(t, -1) for t in tokens]
+    return np.array(rows, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +653,16 @@ def _w2v_blocks(path, mm, pos: int, declared: int, dim: int, strict: bool):
 
 
 @contextmanager
-def atomic_output(path, binary: bool = False):
-    """Write `path` through a temp file beside it (UTF-8 text with LF line
-    ends, or bytes) that replaces `path` only when the block succeeds and
-    is removed when it raises. A target that exists but is not a regular
-    file, such as a device, is refused: the rename would replace it."""
+def atomic_output(path):
+    """Write bytes to `path` through a temp file beside it that replaces
+    `path` only when the block succeeds and is removed when it raises. A
+    target that exists but is not a regular file, such as a device, is
+    refused: the rename would replace it."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise DataError(f"{path}: output is not a regular file")
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "xb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -697,7 +693,7 @@ def write_hashed(path, chunks) -> str:
     """Write the byte `chunks` to `path` through atomic_output. Returns the
     sha256 hex digest of the bytes written, hashed as they are written."""
     h = hashlib.sha256()
-    with atomic_output(path, binary=True) as f:
+    with atomic_output(path) as f:
         for chunk in chunks:
             h.update(chunk)
             f.write(chunk)

@@ -526,6 +526,48 @@ def test_combine_rejects_bad_splits_before_reading(capsys, tmp_path, splits, nam
     assert "--splits" in err and named in err
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--policy", "matched-secnd", "unknown combine kind 'matched-secnd'"),
+        ("--applies-to", "0", "applies_to must be >= 1, got 0"),
+        ("--min-count", "0", "min_count must be >= 1, got 0"),
+        ("--seed", str(2**64), f"seed {2**64} does not fit in 64 bits"),
+        ("--backfill-low", "0.5", "need low < high"),
+        ("--backfill-high", "1e39", "need both ends in"),
+    ],
+    ids=["policy", "applies-to", "min-count", "seed", "backfill-low", "backfill-high"],
+)
+def test_combine_rejects_bad_options_before_reading(capsys, tmp_path, option, value, named):
+    # the inputs do not exist: a usage error must come before any read
+    code, out, err = run(
+        capsys,
+        "combine", "--emb", str(tmp_path / "missing.glove"),
+        "--data", f"train={tmp_path / 'missing.conll'}",
+        "--out", str(tmp_path / "c.glove"), "--policy", "random-second", option, value,
+    )
+    assert code == 2 and out == "" and named in err
+
+
+@pytest.mark.parametrize("option", ["--top-n", "--k"])
+@pytest.mark.parametrize("subcommand", ["similarity", "pair-report", "recommend"])
+def test_top_n_and_k_below_1_are_usage_errors_before_reading(capsys, tmp_path, subcommand, option):
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "similarity": ["--emb-a", missing, "--emb-b", missing, "--data", missing],
+        "pair-report": ["--emb-a", missing, "--emb-b", missing, "--train", missing, "--dev", missing],
+        "recommend": ["--emb", missing, "--emb", missing, "--train", missing, "--dev", missing],
+    }[subcommand]
+    code, out, err = run(capsys, subcommand, *inputs, option, "0")
+    assert code == 2 and out == "" and f"{option} must be >= 1, got 0" in err
+
+
+def test_unknown_emb_format_lists_the_known_ones(capsys):
+    code, out, err = run(capsys, "info", "--emb", FIXTURE, "--emb-format", "bogus")
+    assert code == 2 and out == ""
+    assert "unknown format 'bogus'; expected one of ['glove', 'glove-header', 'w2v']" in err
+
+
 def test_similarity_shared_vocab_only_rejects_k_above_the_shared_rows(capsys, tmp_path):
     a = tmp_path / "A.glove"
     a.write_text("a 1 0\nb 0 1\nc 1 1\nd 1 2\ne 2 1\n")

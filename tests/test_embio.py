@@ -27,7 +27,7 @@ from embcat.embio import (
     detect_format,
     random_vectors,
     read_embeddings,
-    resolve_index,
+    resolve_rows,
     write_embeddings,
 )
 from embcat.errors import DataError
@@ -80,16 +80,40 @@ def test_table_is_frozen(toy_table):
 def test_lookup_chain_order():
     # both casings present: exact must win over lowercase
     t = make_table("t", ["The", "the"], [[1.0], [2.0]])
-    assert resolve_index(t, "The") == (0, "exact")
-    assert resolve_index(t, "THE") == (1, "lowercase")
-    assert resolve_index(t, "cat") is None
+    assert resolve_rows(t, ["The", "THE", "cat"]).tolist() == [0, 1, -1]
 
 
 def test_lookup_exact_only_policy():
     t = make_table("t", ["the"], [[1.0]])
-    assert resolve_index(t, "The", fold_case=False) is None
-    assert resolve_index(t, "the", fold_case=False) == (0, "exact")
-    assert resolve_index(t, "The") == (0, "lowercase")
+    assert resolve_rows(t, ["The", "the"], fold_case=False).tolist() == [-1, 0]
+    assert resolve_rows(t, ["The", "the"]).tolist() == [0, 0]
+
+
+def _chain_row(table, token, fold_case):
+    """The lookup chain for one token: as written, then lowercased."""
+    if token in table.index:
+        return table.index[token]
+    if fold_case and token.lower() in table.index:
+        return table.index[token.lower()]
+    return -1
+
+
+# cased duplicates, and "İ", whose lowercase "i̇" is two characters long
+_cased_st = st.sampled_from(["The", "the", "THE", "İ", "i̇", "i", "I", "ß", "SS", "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(_cased_st, min_size=1, unique=True),
+    tokens=st.lists(st.one_of(_cased_st, token_st)),
+    fold_case=st.booleans(),
+)
+def test_resolve_rows_is_the_chain_per_token(words, tokens, fold_case):
+    t = make_table("t", words, np.zeros((len(words), 1)))
+    rows = resolve_rows(t, tokens, fold_case)
+    assert rows.dtype == np.intp and rows.shape == (len(tokens),)
+    assert rows.tolist() == [_chain_row(t, token, fold_case) for token in tokens]
+    assert resolve_rows(t, [], fold_case).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -967,18 +991,17 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, toy_table, fmt)
     assert os.listdir(tmp_path) == ["table.out"]
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_atomic_output(tmp_path, binary):
+def test_atomic_output(tmp_path):
     path = tmp_path / "out"
     path.write_bytes(b"old\n")
     with pytest.raises(RuntimeError):
-        with atomic_output(path, binary) as f:
-            f.write(b"new" if binary else "new")
+        with atomic_output(path) as f:
+            f.write(b"new")
             raise RuntimeError("midway")
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["out"]
-    with atomic_output(path, binary) as f:
-        f.write(b"new\n" if binary else "new\n")
+    with atomic_output(path) as f:
+        f.write(b"new\n")
     assert path.read_bytes() == b"new\n"
     assert os.listdir(tmp_path) == ["out"]
 
@@ -988,6 +1011,6 @@ def test_atomic_output_refuses_a_non_regular_target(tmp_path):
     os.mkfifo(fifo)
     with pytest.raises(DataError, match="not a regular file"):
         with atomic_output(fifo) as f:
-            f.write("never")
+            f.write(b"never")
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
