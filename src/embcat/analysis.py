@@ -10,12 +10,12 @@ vocabulary chunks keeps every row that a rigorous rounding-error bound
 cannot rule out of the top k; the survivors are then rescored with
 correctly rounded float64 sums, so each similarity is a function of the two
 vectors alone, and ties are broken token-ascending. Results are identical
-for any thread count, chunk size or batch of other queries. One engine,
-`pairwise_similarity`, answers every overlap question (`embedding_similarity`,
-`pair_report`, and `recommend`): it resolves each query once per table,
-searches each table at most once, over the distinct rows of the queries
-that some pair can score, and scores every pair of every query list as
-Jaccard over those cached neighbor sets.
+for any thread count, chunk size or batch of other queries. Every overlap
+question (`embedding_similarity`, `pair_report` and `recommend`) takes two
+steps: `neighbor_sets` searches one table alone, once, over the distinct
+rows of the queries that resolve in it, and `pairwise_similarity` scores
+every pair of tables from those sides alone, so each table can be dropped
+once it is searched.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -294,58 +293,51 @@ def knn(table: EmbeddingTable, query: str, k: int, *, threads: int | None = None
     return NeighborSet(query, tuple(rows[0]))
 
 
-def pairwise_similarity(
-    tables: list[EmbeddingTable],
-    query_lists: list[list[str]],
+def neighbor_sets(
+    table: EmbeddingTable,
+    queries: list[str],
     k: int = 10,
     fold_case: bool = True,
     *,
-    masks: list[np.ndarray | None] | None = None,
+    mask: np.ndarray | None = None,
     threads: int | None = None,
+) -> tuple[dict[str, int], dict[int, set[str]]]:
+    """One table's side of an overlap: {query: row} of the queries that
+    resolve in it, and {row: set of its k nearest neighbor tokens,
+    lowercased when fold_case}, from one search over the distinct rows in
+    query order. `mask`, when given, limits the candidate rows, which must
+    leave every searched query k of them; k is checked before the search.
+    """
+    hits = resolve_rows(table, queries, fold_case).tolist()
+    rows = {q: r for q, r in zip(queries, hits) if r >= 0}
+    search = list(dict.fromkeys(rows.values()))
+    # a searched row inside the mask is not its own candidate
+    if mask is not None and search and k > mask.sum() - int(mask[search].max()):
+        raise DataError(f"k={k} out of range for table {table.name!r}: {mask.sum()} shared rows")
+    if not 1 <= k <= len(table) - 1:
+        raise DataError(f"k={k} out of range for table {table.name!r} of {len(table)} rows")
+    tops = _batch_topk(table, search, k, row_mask=mask, threads=threads) if search else []
+    fold = str.lower if fold_case else str
+    return rows, {r: {fold(w) for w, _ in top} for r, top in zip(search, tops)}
+
+
+def pairwise_similarity(
+    names: list[str],
+    sides: list[tuple[dict[str, int], dict[int, set[str]]]],
+    query_lists: list[list[str]],
+    k: int = 10,
 ) -> list[dict[tuple[int, int], SimilarityReport]]:
     """Mean Jaccard overlap of every pair (i, j), i < j, of the tables, per
     query list: one {(i, j): SimilarityReport} dict per list, in pair order,
     that leaves out each pair with no query left in that list.
 
-    Each query is resolved once per table, and each table searched at most
-    once, over the distinct rows of every query that resolves in it and in
-    at least one other table (list by list, in query order); `masks[i]`,
-    when given, limits table i's candidate rows, which must leave every
-    searched query k of them.
-    Before any search, k is checked once per table: every mask, then every
-    range. Scoring reads only table names, {query: row} and {row: neighbor
-    set} per table: a query is skipped with a reason when it is a duplicate
-    or missing from either table, and a list that no pair can score raises.
+    `sides[i]` is table i's `neighbor_sets` over every query of the lists.
+    A query is skipped with a reason when it is a duplicate or missing from
+    either table, and a list that no pair can score raises.
     """
-    distinct = list(dict.fromkeys(q for qs in query_lists for q in qs))
-    # per table, {query: row} of the queries that resolve in it
-    rows = []
-    for t in tables:
-        hits = resolve_rows(t, distinct, fold_case).tolist()
-        rows.append({q: r for q, r in zip(distinct, hits) if r >= 0})
-    # per table, the distinct rows that some pair can score: those of the
-    # queries that resolve in at least one other table too
-    n_tables = Counter(q for row_of in rows for q in row_of)
-    searched = [
-        list(dict.fromkeys(r for q, r in row_of.items() if n_tables[q] > 1)) for row_of in rows
-    ]
-    masks = masks or [None] * len(tables)
-    for t, search, mask in zip(tables, searched, masks):
-        # a searched row inside the mask is not its own candidate
-        if mask is not None and search and k > mask.sum() - int(mask[search].max()):
-            raise DataError(f"k={k} out of range for table {t.name!r}: {mask.sum()} shared rows")
-    for t in tables:
-        if not 1 <= k <= len(t) - 1:
-            raise DataError(f"k={k} out of range for table {t.name!r} of {len(t)} rows")
-
-    fold = str.lower if fold_case else str
-    sets = []  # per table, {row: neighbor set}
-    for t, search, mask in zip(tables, searched, masks):
-        tops = _batch_topk(t, search, k, row_mask=mask, threads=threads) if search else []
-        sets.append({r: {fold(w) for w, _ in top} for r, top in zip(search, tops)})
-
-    names = [t.name for t in tables]
-    pairs = [(i, j) for i in range(len(tables)) for j in range(i + 1, len(tables))]
+    rows = [row_of for row_of, _ in sides]
+    sets = [sets_of for _, sets_of in sides]
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
     reports: list[dict[tuple[int, int], SimilarityReport]] = []
     for queries in query_lists:
         scored = {}
@@ -397,16 +389,11 @@ def embedding_similarity(
     restricts candidates to tokens resolvable in the other table. Neighbor
     tokens are lowercased, when fold_case, before the sets are compared.
     """
-    masks = None
-    if shared_vocab_only:
-        masks = [
-            resolve_rows(table_b, table_a.words, fold_case) >= 0,
-            resolve_rows(table_a, table_b.words, fold_case) >= 0,
-        ]
-    sims = pairwise_similarity(
-        [table_a, table_b], [queries], k, fold_case, masks=masks, threads=threads
-    )
-    return sims[0][0, 1]
+    sides = []
+    for t, other in ((table_a, table_b), (table_b, table_a)):
+        mask = resolve_rows(other, t.words, fold_case) >= 0 if shared_vocab_only else None
+        sides.append(neighbor_sets(t, queries, k, fold_case, mask=mask, threads=threads))
+    return pairwise_similarity([table_a.name, table_b.name], sides, [queries], k)[0][0, 1]
 
 
 def coverage(
@@ -443,7 +430,9 @@ def pair_report(
     two tables, and the second table's coverage, per split. Each table is
     searched once, over the train then the dev queries."""
     queries = [top_n_types(train, n), top_n_types(dev, n)]
-    sims = pairwise_similarity([table_a, table_b], queries, k, fold_case, threads=threads)
+    both = queries[0] + queries[1]
+    sides = [neighbor_sets(t, both, k, fold_case, threads=threads) for t in (table_a, table_b)]
+    sims = pairwise_similarity([table_a.name, table_b.name], sides, queries, k)
     sim_train, sim_dev = (s[0, 1] for s in sims)
     return PairReport(
         embedding_a=table_a.name,

@@ -72,15 +72,14 @@ def _load_table(arg: str, fmt: Format | None, strict: bool = False):
     return table, path
 
 
-def _load_tables(args):
-    """Every --emb table in order, and its path keyed "emb:<name>"."""
-    tables = []
-    paths = {}
+def _load_tables(args, paths: dict):
+    """Every --emb table in order, read when asked for, with its path put in
+    `paths` keyed "emb:<name>". No yielded table is kept past its turn."""
     for emb in args.emb:
         table, path = _load_table(emb, args.emb_format)
-        tables.append(table)
         paths[f"emb:{table.name}"] = path
-    return tables, paths
+        yield table
+        del table
 
 
 def _parse_splits(spec: str | None) -> list[str] | None:
@@ -277,7 +276,8 @@ def _cmd_combine(args):
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
     if args.min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {args.min_count}")
-    tables, paths = _load_tables(args)
+    paths = {}
+    tables = list(_load_tables(args, paths))
     datasets = []
     for spec in args.data:
         split, path = _parse_data_arg(spec)
@@ -337,10 +337,10 @@ def _cmd_recommend(args):
             raise ValueError(f"{option} must be finite, got {tau}")
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
-    tables, paths = _load_tables(args)
     train, dev = _train_dev_counts(args)
+    paths = {}
     verdicts = recommend(
-        tables,
+        _load_tables(args, paths),
         train,
         dev,
         args.tau_sim,
@@ -350,8 +350,7 @@ def _cmd_recommend(args):
         args.fold_case,
         threads=args.threads,
     )
-    paths["train"] = args.train
-    paths["dev"] = args.dev
+    paths.update(train=args.train, dev=args.dev)
     return {
         "tau_sim": args.tau_sim,
         "tau_cov": args.tau_cov,

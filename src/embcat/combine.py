@@ -10,11 +10,12 @@ or pretrained only inside it (overlap). No table is rebuilt.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coverage, pairwise_similarity
+from .analysis import coverage, neighbor_sets, pairwise_similarity
 from .corpus import VocabCounts, top_n_types, vocab_counts
 from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_rows
 from .errors import DataError
@@ -214,7 +215,7 @@ class PairVerdict:
 
 
 def recommend(
-    tables: list[EmbeddingTable],
+    tables: Iterable[EmbeddingTable],
     train: VocabCounts,
     dev: VocabCounts,
     tau_sim: float = 30.0,
@@ -234,32 +235,37 @@ def recommend(
     come first, most dissimilar first, then highest min-coverage. A pair
     whose tables share no query is not scored: its overlap is None, and it
     comes after every scored pair. Raises when no pair is scored.
+    `tables` may be any iterable, such as a generator that reads each table
+    when asked: no table is kept past its turn, so one is held at a time.
     """
-    if len(tables) < 2:
-        raise DataError(f"need at least two tables to recommend pairs, got {len(tables)}")
-    names = [t.name for t in tables]
+    queries = top_n_types(train, n)
+    names, cov_train, cov_dev, sides = [], [], [], []
+    for table in tables:
+        names.append(table.name)
+        cov_train.append(coverage(train, table, fold_case).attested_pct)
+        cov_dev.append(coverage(dev, table, fold_case).attested_pct)
+        sides.append(neighbor_sets(table, queries, k, fold_case, threads=threads))
+        del table  # free its matrix before the next table is read
+    if len(names) < 2:
+        raise DataError(f"need at least two tables to recommend pairs, got {len(names)}")
     if len(set(names)) != len(names):
         raise DataError(f"table name collision in {names}")
-    queries = top_n_types(train, n)
-    cov_train = {t.name: coverage(train, t, fold_case).attested_pct for t in tables}
-    cov_dev = {t.name: coverage(dev, t, fold_case).attested_pct for t in tables}
-    sims = pairwise_similarity(tables, [queries], k, fold_case, threads=threads)[0]
+    sims = pairwise_similarity(names, sides, [queries], k)[0]
     verdicts = []
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            a, b = tables[i], tables[j]
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
             sim = sims.get((i, j))
             overlap = None if sim is None else sim.mean_jaccard_pct
-            min_att = min(cov_train[a.name], cov_train[b.name])
+            min_att = min(cov_train[i], cov_train[j])
             verdicts.append(
                 PairVerdict(
-                    embedding_a=a.name,
-                    embedding_b=b.name,
+                    embedding_a=names[i],
+                    embedding_b=names[j],
                     overlap=overlap,
-                    attested_a=cov_train[a.name],
-                    attested_b=cov_train[b.name],
-                    attested_dev_a=cov_dev[a.name],
-                    attested_dev_b=cov_dev[b.name],
+                    attested_a=cov_train[i],
+                    attested_b=cov_train[j],
+                    attested_dev_a=cov_dev[i],
+                    attested_dev_b=cov_dev[j],
                     min_attested=min_att,
                     recommended=overlap is not None and overlap < tau_sim and min_att >= tau_cov,
                 )

@@ -671,9 +671,13 @@ def atomic_output(path):
         raise
 
 
-def _check_token_writable(token: str):
+def _check_token_writable(token: str, fmt: Format):
     if not token or " " in token or "\n" in token:
         raise DataError(f"token {token!r} cannot be written: empty or contains space/newline")
+    # the binary reader looks for a token's terminator within _MAX_TOKEN_BYTES
+    if fmt is Format.WORD2VEC_BINARY and (n := len(token.encode())) >= _MAX_TOKEN_BYTES:
+        raise DataError(f"token {token[:32]!r}... cannot be written as word2vec binary: "
+                        f"{n} UTF-8 bytes, over {_MAX_TOKEN_BYTES - 1}")
 
 
 def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> str:
@@ -681,7 +685,7 @@ def write_embeddings(table: EmbeddingTable, path, fmt: Format) -> str:
     (words, dim, and float32 vector values). Returns the sha256 hex digest
     of the bytes written (see write_hashed)."""
     for token in table.words:
-        _check_token_writable(token)
+        _check_token_writable(token, fmt)
     if fmt is Format.WORD2VEC_BINARY:
         chunks = _w2v_binary_chunks(table)
     else:

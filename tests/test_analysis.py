@@ -547,13 +547,14 @@ def test_pair_report_searches_each_table_once(monkeypatch):
     calls = _count_searches(monkeypatch)
     a, b = _cased_pair()
     train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50}, split="train")
-    # w36 is in A only and zz in B only: no pair can score them, so
-    # neither is searched
+    # w36 is in A only and zz in B only: no pair can score them, but each
+    # table is searched from its own vocabulary alone, so A searches w36
+    # and B searches zz
     dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6}, split="dev")
     pair_report(a, b, train, dev, k=3, n=5)
     assert [name for name, _ in calls] == ["A", "B"]
-    assert calls[0][1] == [a.index[w] for w in ("the", "dog", "w00", "w10")]
-    assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "w00", "dog", "w10")]
+    assert calls[0][1] == [a.index[w] for w in ("the", "dog", "w00", "w36", "w10")]
+    assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "zz", "w00", "dog", "w10")]
 
 
 def test_recommend_searches_each_table_once(monkeypatch):
@@ -574,10 +575,11 @@ def test_similarity_searches_each_table_once(monkeypatch, shared_vocab_only):
     embedding_similarity(
         a, b, ["the", "w00", "w36", "zz"], k=3, shared_vocab_only=shared_vocab_only
     )
-    # w36 (A only) and zz (B only) are skipped unsearched
+    # w36 (A only) and zz (B only) are searched in the one table that has
+    # them, then skipped when scored
     assert calls == [
-        ("A", [a.index["the"], a.index["w00"]]),
-        ("B", [b.index["the"], b.index["w00"]]),
+        ("A", [a.index["the"], a.index["w00"], a.index["w36"]]),
+        ("B", [b.index["the"], b.index["w00"], b.index["zz"]]),
     ]
 
 
@@ -587,9 +589,11 @@ def test_k_is_checked_before_any_search(monkeypatch):
     c = make_table("c", ["x", "p"], np.eye(2))
     d = make_table("d", ["x", "q"], np.eye(2))
     counts = _counts({"x": 2, "p": 1}, split="train")
+    # k is checked per table before its search: a is searched, c raises
+    # before its search, and d is never reached
     with pytest.raises(DataError, match="out of range for table 'c'"):
         recommend([a, c, d], counts, counts, k=2, n=2)
-    assert calls == []
+    assert calls == [("a", [a.index["x"]])]
 
 
 def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
@@ -599,4 +603,4 @@ def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
     dev = _counts({"zz": 1}, split="dev")
     with pytest.raises(DataError, match="no shared queries"):
         pair_report(a, b, train, dev, k=3, n=5)
-    assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"]])]
+    assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"], b.index["zz"]])]

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import make_table, oracle_vector
+from embcat import cli
 from embcat.cli import main
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
@@ -609,6 +611,21 @@ def test_convert_refuses_a_token_with_a_space_before_writing(capsys, tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.glove", "spacey.glove"]
 
 
+def test_convert_to_w2v_refuses_a_token_too_long_to_read_back(capsys, tmp_path):
+    # the binary reader finds a token's terminator only within 4096 bytes
+    emb = tmp_path / "long.glove"
+    emb.write_text(f"the 1 2\n{'x' * 5000} 3 4\n")
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"previous output\n")
+    code, stdout, err = run(
+        capsys, "convert", "--emb", str(emb), "--out", str(out), "--to", "w2v", "--stable"
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: token 'xxx") and "5000 UTF-8 bytes, over 4095" in err
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["long.glove", "out.bin"]
+
+
 def test_combine_threads_change_only_the_recorded_option(capsys, tmp_path, conll_file):
     emb1 = tmp_path / "one.glove"
     emb1.write_text("eu 1 0\nEU 2 2\npeter 0 1\n")
@@ -673,6 +690,60 @@ def test_recommend_cli_reports_an_unscored_pair(capsys, tmp_path, conll_file):
     assert code == 0 and out.splitlines()[3].split() == ["one", "two", "None", "40", "40", "False"]
     code, _, err = run(capsys, "recommend", *args[:4], *common)
     assert code == 1 and "no shared queries" in err
+
+
+def _recommend_tables(tmp_path, n_tables=3):
+    """w2v tables over the CONLL fixture's types (lowercased) and some
+    filler, as --emb arguments."""
+    rng = np.random.default_rng(21)
+    words = ["eu", "german", "peter", "rejects", "blackburn"] + [f"x{i}" for i in range(20)]
+    args = []
+    for name in "abcd"[:n_tables]:
+        path = tmp_path / f"{name}.bin"
+        table = make_table(name, words, rng.standard_normal((len(words), 4)))
+        write_embeddings(table, path, Format.WORD2VEC_BINARY)
+        args += ["--emb", str(path)]
+    return args
+
+
+def test_recommend_cli_holds_one_table_at_a_time(capsys, tmp_path, conll_file, monkeypatch):
+    emb = _recommend_tables(tmp_path, 4)
+    common = ["--train", conll_file, "--dev", conll_file, "--k", "2", "--stable"]
+    whole = run_json(capsys, "recommend", *emb, *common)
+    refs = []
+    live_at_read = []
+    read = cli.read_embeddings
+
+    def tracked(*args, **kwargs):
+        live_at_read.append(sum(ref() is not None for ref in refs))
+        table = read(*args, **kwargs)
+        refs.append(weakref.ref(table.vectors))
+        return table
+
+    monkeypatch.setattr(cli, "read_embeddings", tracked)
+    assert run_json(capsys, "recommend", *emb, *common) == whole
+    assert live_at_read == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+
+
+def test_recommend_cli_error_order(capsys, tmp_path, conll_file):
+    emb = _recommend_tables(tmp_path)
+    third = tmp_path / "c.bin"
+    third.write_bytes(third.read_bytes()[:-7])
+    common = ["--dev", conll_file, "--k", "2", "--stable"]
+    # a truncated third table: read after the first two were searched,
+    # with the same message
+    code, out, err = run(capsys, "recommend", *emb, "--train", conll_file, *common)
+    assert (code, out, err) == (1, "", f"error: {third}: record for token 'x19' truncated\n")
+    # --train and --dev are read before any table, so a malformed corpus
+    # is reported before a malformed table
+    bad = tmp_path / "bad.conll"
+    bad.write_text("EU NNP B-ORG\nrejects\n")
+    code, out, err = run(
+        capsys, "recommend", *emb, "--train", str(bad), *common, "--label-column", "2"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -535,6 +537,48 @@ def test_recommend_errors_follow_pair_order():
         recommend([a, c, d], counts, counts, k=2, n=2)
     with pytest.raises(DataError, match="out of range for table 'd'"):
         recommend([a, d, c], counts, counts, k=2, n=2)
+
+
+def test_recommend_holds_one_table_at_a_time():
+    # each table's matrix must be freed before the next one is made; the
+    # generator keeps no reference to what it yielded
+    rng = np.random.default_rng(11)
+    refs = []
+    live_at_yield = []
+
+    def tracked(table):
+        live_at_yield.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(table.vectors))
+        return table
+
+    def tables():
+        for i, name in enumerate("ABCD"):
+            yield tracked(random_table(rng, name=name, n=30, dim=4 + i))
+
+    counts = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
+    verdicts = recommend(tables(), counts, counts, tau_cov=0.0, k=4, n=10)
+    assert live_at_yield == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+    rng = np.random.default_rng(11)
+    whole = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate("ABCD")]
+    assert verdicts == recommend(whole, counts, counts, tau_cov=0.0, k=4, n=10)
+
+
+def test_recommend_checks_the_table_count_and_names_after_reading():
+    a = make_table("a", ["x", "y", "z"], np.eye(3))
+    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    read = []
+
+    def tables(*ts):
+        for t in ts:
+            read.append(t.name)
+            yield t
+
+    with pytest.raises(DataError, match=r"need at least two tables to recommend pairs, got 1"):
+        recommend(tables(a), counts, counts, k=1, n=2)
+    with pytest.raises(DataError, match=r"table name collision in \['a', 'a', 'b'\]"):
+        recommend(tables(a, a, make_table("b", ["x", "q"], np.eye(2))), counts, counts, k=1, n=2)
+    assert read == ["a", "a", "a", "b"]
 
 
 def test_recommend_leaves_a_pair_without_shared_queries_unscored():

@@ -856,6 +856,25 @@ def test_round_trip_multibyte(tmp_path):
         assert tables_equal(t, read_embeddings(path, fmt))
 
 
+@pytest.mark.parametrize("longest", ["a" * 4095, "é" * 2047 + "a"])
+def test_w2v_writes_only_tokens_the_reader_can_find(tmp_path, longest):
+    # the reader looks for a token's terminator within 4096 bytes, so the
+    # longest token it reads is 4095 UTF-8 bytes
+    assert len(longest.encode("utf-8")) == embio._MAX_TOKEN_BYTES - 1
+    path = tmp_path / "long.bin"
+    t = make_table("t", ["a", longest], np.eye(2))
+    write_embeddings(t, path, Format.WORD2VEC_BINARY)
+    assert tables_equal(t, read_embeddings(path, Format.WORD2VEC_BINARY))
+    # one byte more is refused before the file is opened; text takes it
+    path.write_bytes(b"previous output\n")
+    t = make_table("t", ["a", longest + "b"], np.eye(2))
+    with pytest.raises(DataError, match="cannot be written as word2vec binary: 4096 UTF-8 bytes"):
+        write_embeddings(t, path, Format.WORD2VEC_BINARY)
+    assert path.read_bytes() == b"previous output\n"
+    write_embeddings(t, path, Format.GLOVE_TEXT)
+    assert tables_equal(t, read_embeddings(path, Format.GLOVE_TEXT))
+
+
 def test_header_round_trip_detected(tmp_path, toy_table):
     path = tmp_path / "hdr"
     write_embeddings(toy_table, path, Format.GLOVE_TEXT_HEADER)
