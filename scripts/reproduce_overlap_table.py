@@ -60,7 +60,7 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     for other in (senna, glove840b, gnews):
-        row = pair_report(glove6b, other, train, dev, k=10, n=200, threads=args.threads)
+        row = pair_report([glove6b, other], train, dev, k=10, n=200, threads=args.threads)
         for col in COLUMNS:
             got = getattr(row, col)
             want = REFERENCE[other.name][col]

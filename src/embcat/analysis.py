@@ -14,8 +14,9 @@ for any thread count, chunk size or batch of other queries. Every overlap
 question (`embedding_similarity`, `pair_report` and `recommend`) takes two
 steps: `neighbor_sets` searches one table alone, once, over the distinct
 rows of the queries that resolve in it, and `pairwise_similarity` scores
-every pair of tables from those sides alone, so each table can be dropped
-once it is searched.
+every pair from those sides alone. `pair_report` and `recommend` hold one
+table at a time (`table_sides`); `embedding_similarity` holds both, as a
+`shared_vocab_only` search needs the other table's vocabulary.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Iterable
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -415,9 +417,30 @@ def coverage(
     )
 
 
+def table_sides(
+    tables: Iterable[EmbeddingTable],
+    counts: list[VocabCounts],
+    query_lists: list[list[str]],
+    k: int,
+    fold_case: bool,
+    *,
+    threads: int | None,
+) -> tuple[list[str], list[list[float]], list]:
+    """Each table's name, `attested_pct` for each of `counts` and
+    `neighbor_sets` over every query of the lists. `tables` may be any
+    iterable, such as a generator: each is dropped before the next is read."""
+    queries = [q for qs in query_lists for q in qs]
+    names, attested, sides = [], [], []
+    for table in tables:
+        names.append(table.name)
+        attested.append([coverage(c, table, fold_case).attested_pct for c in counts])
+        sides.append(neighbor_sets(table, queries, k, fold_case, threads=threads))
+        del table  # free its matrix before the next table is read
+    return names, attested, sides
+
+
 def pair_report(
-    table_a: EmbeddingTable,
-    table_b: EmbeddingTable,
+    tables: Iterable[EmbeddingTable],
     train: VocabCounts,
     dev: VocabCounts,
     k: int = 10,
@@ -426,21 +449,12 @@ def pair_report(
     *,
     threads: int | None = None,
 ) -> PairReport:
-    """One diagnostic row for a candidate pair: neighborhood overlap of the
-    two tables, and the second table's coverage, per split. Each table is
-    searched once, over the train then the dev queries."""
+    """One diagnostic row for a pair, any iterable of two tables: their
+    neighborhood overlap and the second table's coverage, per split. Each
+    table is searched once, then dropped before the next is read."""
     queries = [top_n_types(train, n), top_n_types(dev, n)]
-    both = queries[0] + queries[1]
-    sides = [neighbor_sets(t, both, k, fold_case, threads=threads) for t in (table_a, table_b)]
-    sims = pairwise_similarity([table_a.name, table_b.name], sides, queries, k)
-    sim_train, sim_dev = (s[0, 1] for s in sims)
-    return PairReport(
-        embedding_a=table_a.name,
-        embedding_b=table_b.name,
-        overlap_train=sim_train.mean_jaccard_pct,
-        overlap_dev=sim_dev.mean_jaccard_pct,
-        attested_train=coverage(train, table_b, fold_case).attested_pct,
-        attested_dev=coverage(dev, table_b, fold_case).attested_pct,
-        k=k,
-        n=n,
-    )
+    names, cov, sides = table_sides(tables, [train, dev], queries, k, fold_case, threads=threads)
+    if len(names) != 2:
+        raise DataError(f"pair_report needs exactly two tables, got {len(names)}")
+    overlap = [s[0, 1].mean_jaccard_pct for s in pairwise_similarity(names, sides, queries, k)]
+    return PairReport(*names, *overlap, *cov[1], k, n)

@@ -250,24 +250,12 @@ def _cmd_similarity(args):
 
 
 def _cmd_pair_report(args):
-    table_a, path_a = _load_table(args.emb_a, args.emb_format)
-    table_b, path_b = _load_table(args.emb_b, args.emb_format)
     train, dev = _train_dev_counts(args)
-    row = pair_report(
-        table_a,
-        table_b,
-        train,
-        dev,
-        args.k,
-        args.top_n,
-        args.fold_case,
-        threads=args.threads,
-    )
-    report = asdict(row)
-    report["manifest"] = build_manifest(
-        args, {"emb_a": path_a, "emb_b": path_b, "train": args.train, "dev": args.dev}
-    )
-    return report
+    tables = (_load_table(emb, args.emb_format)[0] for emb in (args.emb_a, args.emb_b))
+    row = pair_report(tables, train, dev, args.k, args.top_n, args.fold_case, threads=args.threads)
+    paths = {"emb_a": _parse_emb_arg(args.emb_a)[1], "emb_b": _parse_emb_arg(args.emb_b)[1]}
+    paths.update(train=args.train, dev=args.dev)
+    return {**asdict(row), "manifest": build_manifest(args, paths)}
 
 
 def _cmd_combine(args):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coverage, neighbor_sets, pairwise_similarity
+# `coverage` is not called here: `bench/tracing.py` hooks it by this name
+from .analysis import coverage, pairwise_similarity, table_sides  # noqa: F401
 from .corpus import VocabCounts, top_n_types, vocab_counts
 from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_rows
 from .errors import DataError
@@ -235,21 +236,15 @@ def recommend(
     come first, most dissimilar first, then highest min-coverage. A pair
     whose tables share no query is not scored: its overlap is None, and it
     comes after every scored pair. Raises when no pair is scored.
-    `tables` may be any iterable, such as a generator that reads each table
-    when asked: no table is kept past its turn, so one is held at a time.
+    `tables` may be any iterable; one is held at a time (`table_sides`).
     """
     queries = top_n_types(train, n)
-    names, cov_train, cov_dev, sides = [], [], [], []
-    for table in tables:
-        names.append(table.name)
-        cov_train.append(coverage(train, table, fold_case).attested_pct)
-        cov_dev.append(coverage(dev, table, fold_case).attested_pct)
-        sides.append(neighbor_sets(table, queries, k, fold_case, threads=threads))
-        del table  # free its matrix before the next table is read
+    names, cov, sides = table_sides(tables, [train, dev], [queries], k, fold_case, threads=threads)
     if len(names) < 2:
         raise DataError(f"need at least two tables to recommend pairs, got {len(names)}")
     if len(set(names)) != len(names):
         raise DataError(f"table name collision in {names}")
+    cov_train, cov_dev = zip(*cov)
     sims = pairwise_similarity(names, sides, [queries], k)[0]
     verdicts = []
     for i in range(len(names)):

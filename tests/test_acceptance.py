@@ -311,13 +311,13 @@ def test_criterion_7_reproduces_published_overlap_and_coverage():
         "glove-840b-300d": (41.7, 40.6, 83.2, 88.5),
     }
     for table, names in ((senna, "senna"), (glove840b, "glove-840b-300d")):
-        row = pair_report(glove6b, table, train, dev, k=10, n=200)
+        row = pair_report([glove6b, table], train, dev, k=10, n=200)
         want = expected[names]
         got = (row.overlap_train, row.overlap_dev, row.attested_train, row.attested_dev)
         for g, w in zip(got, want):
             assert abs(g - w) <= tol, f"{names}: got {got}, want {want} within {tol}"
 
-    gn_row = pair_report(glove6b, gnews, train, dev, k=10, n=200)
+    gn_row = pair_report([glove6b, gnews], train, dev, k=10, n=200)
     assert abs(gn_row.attested_train - 55.9) <= tol, gn_row
     assert abs(gn_row.attested_dev - 65.1) <= tol, gn_row
 

@@ -455,7 +455,7 @@ def test_pair_report_identity():
     t = make_table("T", ["a", "b", "c", "d"], np.eye(4))
     ds = TokenDataset((Sentence(tuple("abcd"), ("O",) * 4),), split="train")
     counts = vocab_counts(ds)
-    row = pair_report(t, t, counts, counts, k=2, n=4)
+    row = pair_report([t, t], counts, counts, k=2, n=4)
     assert (row.overlap_train, row.overlap_dev) == (100.0, 100.0)
     assert (row.attested_train, row.attested_dev) == (100.0, 100.0)
     assert row.embedding_a == row.embedding_b == "T"
@@ -467,7 +467,7 @@ def test_pair_report_uses_top_n():
     train = _counts({"hi": 10, "lo": 1}, split="train")
     dev = _counts({"hi": 5}, split="dev")
     # n=1 keeps only "hi"; "lo" never queried, so no skip for it
-    row = pair_report(a, b, train, dev, k=2, n=1)
+    row = pair_report([a, b], train, dev, k=2, n=1)
     assert row.attested_train == 50.0  # B attests hi but not lo
     assert row.attested_dev == 100.0
 
@@ -507,7 +507,7 @@ def test_pair_report_matches_per_split_similarity(monkeypatch):
     dev = _counts({"dog": 9, "Dog": 8, "w31": 7, "w02": 6, "w10": 5, "w11": 4}, split="dev")
     for threads in (1, 2):
         for k, n in ((3, 9), (8, 4)):
-            row = pair_report(a, b, train, dev, k=k, n=n, threads=threads)
+            row = pair_report([a, b], train, dev, k=k, n=n, threads=threads)
             for counts, overlap in ((train, row.overlap_train), (dev, row.overlap_dev)):
                 queries = top_n_types(counts, n)
                 sim = embedding_similarity(a, b, queries, k, threads=threads)
@@ -521,9 +521,14 @@ def test_pair_report_error_order():
     shared = _counts({"w00": 1}, split="train")
     none_shared = _counts({"zz": 1}, split="dev")
     with pytest.raises(DataError, match="no shared queries"):
-        pair_report(a, b, shared, none_shared, k=3, n=5)
+        pair_report([a, b], shared, none_shared, k=3, n=5)
     with pytest.raises(DataError, match="out of range for table 'A'"):
-        pair_report(a, b, none_shared, none_shared, k=40, n=5)
+        pair_report([a, b], none_shared, none_shared, k=40, n=5)
+    # the table count is checked before any pair is scored, where one table
+    # alone would fail as "no shared queries"
+    for tables in ([], [a], [a, b, a]):
+        with pytest.raises(DataError, match=f"exactly two tables, got {len(tables)}"):
+            pair_report(tables, shared, shared, k=3, n=5)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +556,7 @@ def test_pair_report_searches_each_table_once(monkeypatch):
     # table is searched from its own vocabulary alone, so A searches w36
     # and B searches zz
     dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6}, split="dev")
-    pair_report(a, b, train, dev, k=3, n=5)
+    pair_report([a, b], train, dev, k=3, n=5)
     assert [name for name, _ in calls] == ["A", "B"]
     assert calls[0][1] == [a.index[w] for w in ("the", "dog", "w00", "w36", "w10")]
     assert calls[1][1] == [b.index[w] for w in ("The", "the", "Dog", "zz", "w00", "dog", "w10")]
@@ -602,5 +607,5 @@ def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
     train = _counts({"w00": 1}, split="train")
     dev = _counts({"zz": 1}, split="dev")
     with pytest.raises(DataError, match="no shared queries"):
-        pair_report(a, b, train, dev, k=3, n=5)
+        pair_report([a, b], train, dev, k=3, n=5)
     assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"], b.index["zz"]])]

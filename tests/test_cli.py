@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_table, oracle_vector
-from embcat import cli
+from embcat import analysis, cli
 from embcat.cli import main
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
@@ -692,24 +692,30 @@ def test_recommend_cli_reports_an_unscored_pair(capsys, tmp_path, conll_file):
     assert code == 1 and "no shared queries" in err
 
 
-def _recommend_tables(tmp_path, n_tables=3):
+def _table_args(tmp_path, subcommand, n_tables):
     """w2v tables over the CONLL fixture's types (lowercased) and some
-    filler, as --emb arguments."""
+    filler, as the subcommand's table arguments, and the last table's path."""
     rng = np.random.default_rng(21)
     words = ["eu", "german", "peter", "rejects", "blackburn"] + [f"x{i}" for i in range(20)]
-    args = []
+    paths = []
     for name in "abcd"[:n_tables]:
-        path = tmp_path / f"{name}.bin"
+        paths.append(tmp_path / f"{name}.bin")
         table = make_table(name, words, rng.standard_normal((len(words), 4)))
-        write_embeddings(table, path, Format.WORD2VEC_BINARY)
-        args += ["--emb", str(path)]
-    return args
+        write_embeddings(table, paths[-1], Format.WORD2VEC_BINARY)
+    if subcommand == "pair-report":
+        return ["--emb-a", str(paths[0]), "--emb-b", str(paths[1])], paths[-1]
+    return [arg for path in paths for arg in ("--emb", str(path))], paths[-1]
 
 
-def test_recommend_cli_holds_one_table_at_a_time(capsys, tmp_path, conll_file, monkeypatch):
-    emb = _recommend_tables(tmp_path, 4)
+@pytest.mark.parametrize(
+    "subcommand, n_tables", [("recommend", 4), ("pair-report", 2)], ids=["recommend", "pair-report"]
+)
+def test_cli_holds_one_table_at_a_time(
+    capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables
+):
+    emb, _ = _table_args(tmp_path, subcommand, n_tables)
     common = ["--train", conll_file, "--dev", conll_file, "--k", "2", "--stable"]
-    whole = run_json(capsys, "recommend", *emb, *common)
+    whole = run_json(capsys, subcommand, *emb, *common)
     refs = []
     live_at_read = []
     read = cli.read_embeddings
@@ -721,26 +727,37 @@ def test_recommend_cli_holds_one_table_at_a_time(capsys, tmp_path, conll_file, m
         return table
 
     monkeypatch.setattr(cli, "read_embeddings", tracked)
-    assert run_json(capsys, "recommend", *emb, *common) == whole
-    assert live_at_read == [0, 0, 0, 0]
+    assert run_json(capsys, subcommand, *emb, *common) == whole
+    assert live_at_read == [0] * n_tables
     assert all(ref() is None for ref in refs)
 
 
-def test_recommend_cli_error_order(capsys, tmp_path, conll_file):
-    emb = _recommend_tables(tmp_path)
-    third = tmp_path / "c.bin"
-    third.write_bytes(third.read_bytes()[:-7])
+@pytest.mark.parametrize(
+    "subcommand, n_tables", [("recommend", 3), ("pair-report", 2)], ids=["recommend", "pair-report"]
+)
+def test_cli_error_order(capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables):
+    emb, last = _table_args(tmp_path, subcommand, n_tables)
+    last.write_bytes(last.read_bytes()[:-7])
     common = ["--dev", conll_file, "--k", "2", "--stable"]
-    # a truncated third table: read after the first two were searched,
+    searched = []
+    search = analysis._batch_topk
+
+    def spy(table, *args, **kwargs):
+        searched.append(table.name)
+        return search(table, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_batch_topk", spy)
+    # a truncated last table: read after the earlier ones were searched,
     # with the same message
-    code, out, err = run(capsys, "recommend", *emb, "--train", conll_file, *common)
-    assert (code, out, err) == (1, "", f"error: {third}: record for token 'x19' truncated\n")
+    code, out, err = run(capsys, subcommand, *emb, "--train", conll_file, *common)
+    assert (code, out, err) == (1, "", f"error: {last}: record for token 'x19' truncated\n")
+    assert searched == ["a", "b", "c"][: n_tables - 1]
     # --train and --dev are read before any table, so a malformed corpus
     # is reported before a malformed table
     bad = tmp_path / "bad.conll"
     bad.write_text("EU NNP B-ORG\nrejects\n")
     code, out, err = run(
-        capsys, "recommend", *emb, "--train", str(bad), *common, "--label-column", "2"
+        capsys, subcommand, *emb, "--train", str(bad), *common, "--label-column", "2"
     )
     assert code == 1 and out == ""
     assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"

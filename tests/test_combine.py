@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ablated_reference, make_table, oracle_vector, random_table, tables_equal
 from embcat import analysis, embio
-from embcat.analysis import coverage, embedding_similarity
+from embcat.analysis import coverage, embedding_similarity, pair_report
 from embcat.combine import (
     COMBINE_KINDS,
     PAD_TOKEN,
@@ -539,7 +539,10 @@ def test_recommend_errors_follow_pair_order():
         recommend([a, d, c], counts, counts, k=2, n=2)
 
 
-def test_recommend_holds_one_table_at_a_time():
+@pytest.mark.parametrize(
+    "command, names", [(recommend, "ABCD"), (pair_report, "AB")], ids=["recommend", "pair_report"]
+)
+def test_holds_one_table_at_a_time(command, names):
     # each table's matrix must be freed before the next one is made; the
     # generator keeps no reference to what it yielded
     rng = np.random.default_rng(11)
@@ -552,16 +555,16 @@ def test_recommend_holds_one_table_at_a_time():
         return table
 
     def tables():
-        for i, name in enumerate("ABCD"):
+        for i, name in enumerate(names):
             yield tracked(random_table(rng, name=name, n=30, dim=4 + i))
 
     counts = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
-    verdicts = recommend(tables(), counts, counts, tau_cov=0.0, k=4, n=10)
-    assert live_at_yield == [0, 0, 0, 0]
+    result = command(tables(), counts, counts, k=4, n=10)
+    assert live_at_yield == [0] * len(names)
     assert all(ref() is None for ref in refs)
     rng = np.random.default_rng(11)
-    whole = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate("ABCD")]
-    assert verdicts == recommend(whole, counts, counts, tau_cov=0.0, k=4, n=10)
+    whole = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate(names)]
+    assert result == command(whole, counts, counts, k=4, n=10)
 
 
 def test_recommend_checks_the_table_count_and_names_after_reading():
@@ -574,8 +577,9 @@ def test_recommend_checks_the_table_count_and_names_after_reading():
             read.append(t.name)
             yield t
 
-    with pytest.raises(DataError, match=r"need at least two tables to recommend pairs, got 1"):
-        recommend(tables(a), counts, counts, k=1, n=2)
+    for ts in ((), (a,)):
+        with pytest.raises(DataError, match=f"at least two tables to recommend pairs, got {len(ts)}"):
+            recommend(tables(*ts), counts, counts, k=1, n=2)
     with pytest.raises(DataError, match=r"table name collision in \['a', 'a', 'b'\]"):
         recommend(tables(a, a, make_table("b", ["x", "q"], np.eye(2))), counts, counts, k=1, n=2)
     assert read == ["a", "a", "a", "b"]
