@@ -72,12 +72,12 @@ def _load_table(arg: str, fmt: Format | None, strict: bool = False):
     return table, path
 
 
-def _load_tables(args, paths: dict):
-    """Every --emb table in order, read when asked for, with its path put in
-    `paths` keyed "emb:<name>". No yielded table is kept past its turn."""
+def _load_tables(args, sources: list):
+    """Every --emb table in order, read when asked for, with its (name, path,
+    vocab, dim) appended to `sources`. No yielded table is kept past its turn."""
     for emb in args.emb:
         table, path = _load_table(emb, args.emb_format)
-        paths[f"emb:{table.name}"] = path
+        sources.append((table.name, path, len(table), table.dim))
         yield table
         del table
 
@@ -221,10 +221,10 @@ def _cmd_coverage(args):
 
 
 def _cmd_similarity(args):
-    table_a, path_a = _load_table(args.emb_a, args.emb_format)
-    table_b, path_b = _load_table(args.emb_b, args.emb_format)
     dataset = _read_dataset(args, args.data, args.split)
     counts = vocab_counts(dataset, _count_normalization(args))
+    table_a, path_a = _load_table(args.emb_a, args.emb_format)
+    table_b, path_b = _load_table(args.emb_b, args.emb_format)
     queries = top_n_types(counts, args.top_n)
     sim = embedding_similarity(
         table_a,
@@ -265,7 +265,6 @@ def _cmd_combine(args):
     if args.min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {args.min_count}")
     paths = {}
-    tables = list(_load_tables(args, paths))
     datasets = []
     for spec in args.data:
         split, path = _parse_data_arg(spec)
@@ -274,9 +273,11 @@ def _cmd_combine(args):
     vocab = model_vocab(datasets, splits, args.min_count, _count_normalization(args))
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
-    table = combine(tables, vocab, policy, backfill, args.fold_case)
+    sources = []
+    table = combine(_load_tables(args, sources), vocab, policy, backfill, args.fold_case)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
+    paths.update((f"emb:{n}", p) for n, p, _, _ in sources)
     manifest = build_manifest(args, paths)
     out_sha = write_embeddings(table, args.out, args.to)
     sidecar = {
@@ -287,14 +288,8 @@ def _cmd_combine(args):
         "dim": table.dim,
         "policy": {"kind": policy.kind, "applies_to": policy.applies_to},
         "sources": [
-            {
-                "name": t.name,
-                "path": paths[f"emb:{t.name}"],
-                "sha256": manifest["input_sha256"][f"emb:{t.name}"],
-                "vocab": len(t),
-                "dim": t.dim,
-            }
-            for t in tables
+            dict(name=n, path=p, sha256=manifest["input_sha256"][f"emb:{n}"], vocab=v, dim=d)
+            for n, p, v, d in sources
         ],
         "seed": args.seed,
         "backfill": {"low": args.backfill_low, "high": args.backfill_high},
@@ -312,7 +307,7 @@ def _cmd_combine(args):
         "vocab": len(table),
         "dim": table.dim,
         "policy": policy.kind,
-        "sources": [t.name for t in tables],
+        "sources": [n for n, _, _, _ in sources],
         "output_sha256": out_sha,
         "sidecar_manifest": manifest_path,
         "manifest": manifest,
@@ -326,9 +321,9 @@ def _cmd_recommend(args):
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
     train, dev = _train_dev_counts(args)
-    paths = {}
+    sources = []
     verdicts = recommend(
-        _load_tables(args, paths),
+        _load_tables(args, sources),
         train,
         dev,
         args.tau_sim,
@@ -338,7 +333,7 @@ def _cmd_recommend(args):
         args.fold_case,
         threads=args.threads,
     )
-    paths.update(train=args.train, dev=args.dev)
+    paths = dict(((f"emb:{n}", p) for n, p, _, _ in sources), train=args.train, dev=args.dev)
     return {
         "tau_sim": args.tau_sim,
         "tau_cov": args.tau_cov,

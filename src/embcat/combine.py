@@ -112,7 +112,7 @@ def model_vocab(
 
 
 def combine(
-    tables: list[EmbeddingTable],
+    tables: Iterable[EmbeddingTable],
     vocab: ModelVocab,
     policy: CombinePolicy,
     backfill: RandomBackfill,
@@ -132,31 +132,21 @@ def combine(
       MatchedSecond    - the random vector when the token is outside the
                          first vocabulary, so only the overlap stays
                          pretrained.
-    Output depends only on the inputs and the backfill seed.
+    Output depends only on the inputs and the backfill seed. `tables` may
+    be any iterable; each is dropped once its columns are filled.
     """
-    if not tables:
-        raise DataError("need at least one source table")
-    names = [t.name for t in tables]
-    if len(set(names)) != len(names):
-        raise DataError(f"table name collision in {names}; backfill keys must be distinct")
-    if policy.kind != "Concat":
-        if len(tables) < 2:
-            raise DataError(f"{policy.kind} needs at least two source tables")
-        idx = policy.applies_to
-        if idx >= len(tables):
-            raise DataError(f"applies_to={idx} out of range for {len(tables)} tables")
-        first_vocab = set().union(*(t.words for t in tables[:idx]))
-        replaces = {
-            "RandomSecond": lambda word: True,
-            "ComplementSecond": lambda word: word in first_vocab,
-            "MatchedSecond": lambda word: word not in first_vocab,
-        }[policy.kind]
-
-    dims = [t.dim for t in tables]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    out = np.empty((len(vocab), int(offsets[-1])), np.float32)
-    for ti, table in enumerate(tables):
-        cols = slice(int(offsets[ti]), int(offsets[ti + 1]))
+    idx = policy.applies_to
+    names, blocks, first_vocab = [], [], set()
+    replaces = {
+        "RandomSecond": lambda word: True,
+        "ComplementSecond": lambda word: word in first_vocab,
+        "MatchedSecond": lambda word: word not in first_vocab,
+    }.get(policy.kind)
+    # a counter, not enumerate(), whose reused tuple keeps the last table
+    # alive while the next is read
+    for table in tables:
+        ti = len(names)
+        names.append(table.name)
         # (output row, source row) of the kept slices, (output row, key) of
         # the drawn ones
         kept, rows, drawn, keys = [], [], [], []
@@ -165,7 +155,7 @@ def combine(
             if row < 0:
                 drawn.append(r)
                 keys.append(typ)
-            elif ti == policy.applies_to and replaces(table.words[row]):
+            elif ti == idx and replaces(table.words[row]):
                 # keyed by the row's token, not the type: "The" and
                 # "the" resolving to one row share its replacement
                 drawn.append(r)
@@ -173,8 +163,22 @@ def combine(
             else:
                 kept.append(r)
                 rows.append(row)
-        out[kept, cols] = table.vectors[rows]
-        out[drawn, cols] = random_vectors(backfill, table.name, keys, table.dim)
+        block = np.empty((len(vocab), table.dim), np.float32)
+        block[kept] = table.vectors[rows]
+        block[drawn] = random_vectors(backfill, table.name, keys, table.dim)
+        blocks.append(block)
+        if idx is not None and ti < idx:
+            first_vocab.update(table.words)
+        del table  # free its matrix before the next table is read
+    if not names:
+        raise DataError("need at least one source table")
+    if len(set(names)) != len(names):
+        raise DataError(f"table name collision in {names}; backfill keys must be distinct")
+    if idx is not None and len(names) < 2:
+        raise DataError(f"{policy.kind} needs at least two source tables")
+    if idx is not None and idx >= len(names):
+        raise DataError(f"applies_to={idx} out of range for {len(names)} tables")
+    out = np.concatenate(blocks, axis=1)
     # the rows are source rows or finite draws, and the types are unique
     index = dict(zip(vocab.types, range(len(vocab))))
     return EmbeddingTable._adopt("+".join(names), vocab.types, out, index)

@@ -1,5 +1,6 @@
 import json
 import os
+import string
 import subprocess
 import sys
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_table, oracle_vector
-from embcat import analysis, cli
+from embcat import __version__, analysis, cli
 from embcat.cli import main
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
@@ -372,6 +373,48 @@ def test_pair_report_cli(capsys, tmp_path, conll_file):
     assert "overlap_train" in head and "100" in row
 
 
+SIDECAR = string.Template("""{
+  "out": "$out",
+  "output_sha256": "$out_sha",
+  "format": "GloveText",
+  "vocab": 5,
+  "dim": 5,
+  "policy": {
+    "kind": "Concat",
+    "applies_to": null
+  },
+  "sources": [
+    {
+      "name": "one",
+      "path": "$one",
+      "sha256": "753cf61266c9e4803cb7a2996311876def1387835d4a53534fda3b5c3347ae27",
+      "vocab": 2,
+      "dim": 2
+    },
+    {
+      "name": "two",
+      "path": "$two",
+      "sha256": "28535b95da2bfa14480a86ef67fe3ba152089948c72a942535e8f6e8ae603808",
+      "vocab": 1,
+      "dim": 3
+    }
+  ],
+  "seed": 99,
+  "backfill": {
+    "low": -0.25,
+    "high": 0.25
+  },
+  "normalization": [
+    "exact",
+    "lowercase"
+  ],
+  "min_count": 1,
+  "special_tokens": false,
+  "version": "$version"
+}
+""")
+
+
 def test_combine_cli_with_sidecar(capsys, tmp_path, conll_file):
     emb1 = tmp_path / "one.glove"
     emb1.write_text("eu 1 0\npeter 0 1\n")
@@ -402,6 +445,11 @@ def test_combine_cli_with_sidecar(capsys, tmp_path, conll_file):
         assert src["sha256"] == file_sha256(path)
     assert sidecar["normalization"] == ["exact", "lowercase"]
     assert sidecar["policy"] == {"kind": "Concat", "applies_to": None}
+    # the whole text: key order included, as its sha256 is recorded
+    expected = SIDECAR.substitute(
+        out=out, out_sha=rep["output_sha256"], one=emb1, two=emb2, version=__version__
+    )
+    assert (tmp_path / "combined.glove.manifest.json").read_text() == expected
     run_json(
         capsys,
         "combine",
@@ -702,20 +750,41 @@ def _table_args(tmp_path, subcommand, n_tables):
         paths.append(tmp_path / f"{name}.bin")
         table = make_table(name, words, rng.standard_normal((len(words), 4)))
         write_embeddings(table, paths[-1], Format.WORD2VEC_BINARY)
-    if subcommand == "pair-report":
+    if subcommand in ("pair-report", "similarity"):
         return ["--emb-a", str(paths[0]), "--emb-b", str(paths[1])], paths[-1]
     return [arg for path in paths for arg in ("--emb", str(path))], paths[-1]
 
 
+def _corpus_args(tmp_path, subcommand, corpus, dev):
+    """The subcommand's other arguments, with `corpus` the dataset it reads
+    first (--train, or combine's --data)."""
+    if subcommand == "combine":
+        return ["--data", corpus, "--out", str(tmp_path / "out.glove"), "--stable"]
+    return ["--train", corpus, "--dev", dev, "--k", "2", "--stable"]
+
+
+# the table arguments are read in order by a generator; each table is
+# used (searched, or its columns filled) before the next is read
+USED = {
+    "recommend": (analysis, "_batch_topk"),
+    "pair-report": (analysis, "_batch_topk"),
+    "combine": (sys.modules["embcat.combine"], "resolve_rows"),
+}
+POLICIES = ("concat", "random-second", "complement-second", "matched-second")
+
+
 @pytest.mark.parametrize(
-    "subcommand, n_tables", [("recommend", 4), ("pair-report", 2)], ids=["recommend", "pair-report"]
+    "subcommand, n_tables, extra",
+    [("recommend", 4, []), ("pair-report", 2, [])]
+    + [("combine", 4, ["--policy", policy]) for policy in POLICIES],
+    ids=["recommend", "pair-report", *(f"combine-{policy}" for policy in POLICIES)],
 )
 def test_cli_holds_one_table_at_a_time(
-    capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables
+    capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables, extra
 ):
     emb, _ = _table_args(tmp_path, subcommand, n_tables)
-    common = ["--train", conll_file, "--dev", conll_file, "--k", "2", "--stable"]
-    whole = run_json(capsys, subcommand, *emb, *common)
+    argv = [subcommand, *emb, *_corpus_args(tmp_path, subcommand, conll_file, conll_file), *extra]
+    whole = run_json(capsys, *argv)
     refs = []
     live_at_read = []
     read = cli.read_embeddings
@@ -727,39 +796,51 @@ def test_cli_holds_one_table_at_a_time(
         return table
 
     monkeypatch.setattr(cli, "read_embeddings", tracked)
-    assert run_json(capsys, subcommand, *emb, *common) == whole
+    assert run_json(capsys, *argv) == whole
     assert live_at_read == [0] * n_tables
     assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize(
-    "subcommand, n_tables", [("recommend", 3), ("pair-report", 2)], ids=["recommend", "pair-report"]
+    "subcommand, n_tables",
+    [("recommend", 3), ("pair-report", 2), ("combine", 3)],
+    ids=["recommend", "pair-report", "combine"],
 )
 def test_cli_error_order(capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables):
     emb, last = _table_args(tmp_path, subcommand, n_tables)
     last.write_bytes(last.read_bytes()[:-7])
-    common = ["--dev", conll_file, "--k", "2", "--stable"]
-    searched = []
-    search = analysis._batch_topk
+    module, name = USED[subcommand]
+    used = []
+    use = getattr(module, name)
 
     def spy(table, *args, **kwargs):
-        searched.append(table.name)
-        return search(table, *args, **kwargs)
+        used.append(table.name)
+        return use(table, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_batch_topk", spy)
-    # a truncated last table: read after the earlier ones were searched,
-    # with the same message
-    code, out, err = run(capsys, subcommand, *emb, "--train", conll_file, *common)
+    monkeypatch.setattr(module, name, spy)
+    # a truncated last table: read after the earlier ones were used, with
+    # the same message
+    corpus = _corpus_args(tmp_path, subcommand, conll_file, conll_file)
+    code, out, err = run(capsys, subcommand, *emb, *corpus)
     assert (code, out, err) == (1, "", f"error: {last}: record for token 'x19' truncated\n")
-    assert searched == ["a", "b", "c"][: n_tables - 1]
-    # --train and --dev are read before any table, so a malformed corpus
-    # is reported before a malformed table
+    assert used == ["a", "b", "c"][: n_tables - 1]
+    # the corpora are read before any table, so a malformed corpus is
+    # reported before a malformed table
     bad = tmp_path / "bad.conll"
     bad.write_text("EU NNP B-ORG\nrejects\n")
-    code, out, err = run(
-        capsys, subcommand, *emb, "--train", str(bad), *common, "--label-column", "2"
-    )
+    corpus = _corpus_args(tmp_path, subcommand, str(bad), conll_file)
+    code, out, err = run(capsys, subcommand, *emb, *corpus, "--label-column", "2")
     assert code == 1 and out == ""
+    assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
+
+
+def test_similarity_reads_the_corpus_before_the_tables(capsys, tmp_path):
+    emb, last = _table_args(tmp_path, "similarity", 2)
+    last.write_bytes(last.read_bytes()[:-7])
+    bad = tmp_path / "bad.conll"
+    bad.write_text("EU NNP B-ORG\nrejects\n")
+    code, out, err = run(capsys, "similarity", *emb, "--data", str(bad), "--label-column", "2")
+    assert (code, out) == (1, "")
     assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
 
 

@@ -335,13 +335,17 @@ def test_combine_name_collision():
 
 
 def test_combine_policy_table_count():
+    # a generator is checked once it ends, with the messages a list gets
     first, second = two_tables()
-    with pytest.raises(DataError):
-        combine([first], mv("a"), CombinePolicy("RandomSecond"), BF)
-    with pytest.raises(DataError):
-        combine([first, second], mv("a"), CombinePolicy("RandomSecond", 2), BF)
-    with pytest.raises(DataError):
-        combine([], mv("a"), CombinePolicy(), BF)
+    for stream in (list, lambda ts: (t for t in ts)):
+        with pytest.raises(DataError, match="^RandomSecond needs at least two source tables$"):
+            combine(stream([first]), mv("a"), CombinePolicy("RandomSecond"), BF)
+        with pytest.raises(DataError, match="^applies_to=2 out of range for 2 tables$"):
+            combine(stream([first, second]), mv("a"), CombinePolicy("RandomSecond", 2), BF)
+        with pytest.raises(DataError, match="^need at least one source table$"):
+            combine(stream([]), mv("a"), CombinePolicy(), BF)
+        with pytest.raises(DataError, match=r"collision in \['first', 'second', 'first'\]"):
+            combine(stream([first, second, first]), mv("a"), CombinePolicy(), BF)
 
 
 def test_combine_second_policy_end_to_end():
@@ -539,12 +543,34 @@ def test_recommend_errors_follow_pair_order():
         recommend([a, d, c], counts, counts, k=2, n=2)
 
 
-@pytest.mark.parametrize(
-    "command, names", [(recommend, "ABCD"), (pair_report, "AB")], ids=["recommend", "pair_report"]
-)
+COUNTS = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
+
+
+def _combined(kind):
+    """`combine` under `kind` as a function of the tables, with the third
+    table ablated, so that its first vocabulary is a union of two."""
+    policy = CombinePolicy(kind, None if kind == "Concat" else 2)
+    vocab = mv(*(f"w{i:04d}" for i in range(35)))
+
+    def run(tables):
+        out = combine(tables, vocab, policy, BF)
+        return out.name, out.words, out.vectors.tobytes()
+
+    return run
+
+
+ONE_AT_A_TIME = {
+    "recommend": (lambda ts: recommend(ts, COUNTS, COUNTS, k=4, n=10), "ABCD"),
+    "pair_report": (lambda ts: pair_report(ts, COUNTS, COUNTS, k=4, n=10), "AB"),
+    **{f"combine-{kind}": (_combined(kind), "ABCD") for kind in COMBINE_KINDS},
+}
+
+
+@pytest.mark.parametrize("command, names", ONE_AT_A_TIME.values(), ids=list(ONE_AT_A_TIME))
 def test_holds_one_table_at_a_time(command, names):
     # each table's matrix must be freed before the next one is made; the
-    # generator keeps no reference to what it yielded
+    # generator keeps no reference to what it yielded. The tables grow, so
+    # each attests words the ones before it lack
     rng = np.random.default_rng(11)
     refs = []
     live_at_yield = []
@@ -556,15 +582,14 @@ def test_holds_one_table_at_a_time(command, names):
 
     def tables():
         for i, name in enumerate(names):
-            yield tracked(random_table(rng, name=name, n=30, dim=4 + i))
+            yield tracked(random_table(rng, name=name, n=21 + 3 * i, dim=4 + i))
 
-    counts = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
-    result = command(tables(), counts, counts, k=4, n=10)
+    result = command(tables())
     assert live_at_yield == [0] * len(names)
     assert all(ref() is None for ref in refs)
     rng = np.random.default_rng(11)
-    whole = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate(names)]
-    assert result == command(whole, counts, counts, k=4, n=10)
+    whole = [random_table(rng, name=name, n=21 + 3 * i, dim=4 + i) for i, name in enumerate(names)]
+    assert result == command(whole)
 
 
 def test_recommend_checks_the_table_count_and_names_after_reading():
