@@ -7,9 +7,10 @@ sets of frequent words, each table searched in its own space).
 
 k-NN here is exact brute force, in two stages. A float32 screen over
 vocabulary chunks keeps every row that a rigorous rounding-error bound
-cannot rule out of the top k; the survivors are then rescored with
-correctly rounded float64 sums, so each similarity is a function of the two
-vectors alone, and ties are broken token-ascending. Results are identical
+cannot rule out of the top k, measured from a lower bound of each chunk's
+k-th value that a subsample of its columns gives; the survivors are then
+rescored with correctly rounded float64 sums, so each similarity is a
+function of the two vectors alone, and ties are broken token-ascending. Results are identical
 for any thread count, chunk size or batch of other queries. Every overlap
 question (`embedding_similarity`, `pair_report` and `recommend`) takes two
 steps: `neighbor_sets` searches one table alone, once, over the distinct
@@ -38,6 +39,10 @@ from .errors import DataError
 # it, nor on thread count or batch: it sets only the memory of a chunk's
 # temporaries and how the work splits across threads
 CHUNK_ROWS = 8192
+# a chunk's threshold is the k-th largest of every _SUBSAMPLE-th column of
+# its screened values (see `_batch_topk`); 2 was the fastest of 1 to 4 on
+# the recommend-4 bench tables
+_SUBSAMPLE = 2
 # unit roundoff of float32
 _U = 2.0**-24
 
@@ -138,8 +143,9 @@ def _unit32(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _screen(table, lo, hi, row_mask, unit_q, q_rows, k, margin):
     """Stage 1 over rows [lo, hi): (query, row, screened cosine) of every
-    nonzero candidate row within `margin` of the query's k-th screened
-    value in this chunk."""
+    nonzero candidate row within `margin` of a lower bound of the query's
+    k-th screened value in this chunk, the k-th of every `_SUBSAMPLE`-th
+    column."""
     rows = np.arange(lo, hi) if row_mask is None else lo + np.flatnonzero(row_mask[lo:hi])
     nonzero, unit = _unit32(table.vectors[rows])
     rows = rows[nonzero]
@@ -148,7 +154,12 @@ def _screen(table, lo, hi, row_mask, unit_q, q_rows, k, margin):
     own = np.flatnonzero(np.isin(q_rows, rows))
     sims[own, np.searchsorted(rows, q_rows[own])] = -np.inf
     m = len(rows)
-    kth = np.partition(sims, m - k, axis=1)[:, m - k] if m >= k else np.full(len(sims), -np.inf)
+    sub = sims[:, ::_SUBSAMPLE]
+    cols = sub.shape[1]
+    if cols >= k:
+        kth = np.partition(sub, cols - k, axis=1)[:, cols - k]
+    else:
+        kth = np.full(len(sims), -np.inf)
     # the largest float32 at or below kth - margin, so the float32 test
     # keeps every row the float64 bound keeps
     lower = kth.astype(np.float64) - margin
@@ -222,12 +233,22 @@ def _batch_topk(
     float32 rounding (u) and leaves room for the float64 norm and division,
     underflow and `_cosines`'s own rounding, each far below u. If s_k is
     the k-th largest screened value, k rows have c >= s_k - E, so a row
-    that belongs in the top k has c >= s_k - E and s >= s_k - 2E. Each
-    chunk keeps the rows within that margin of its own k-th value, and
-    stage 2 applies it again to each query's k-th value over all chunks
-    and rescores the survivors with `_cosines`. A query's result is then a
+    that belongs in the top k has c >= s_k - E and s >= s_k - 2E. Stage 2
+    keeps the rows within that margin of each query's k-th value over all
+    chunks and rescores them with `_cosines`. A query's result is then a
     function of its own vector and the table, whatever the chunk size,
     thread count or other queries in the batch.
+
+    Stage 1 keeps, per chunk, the rows within the margin of t, the k-th
+    largest of every `_SUBSAMPLE`-th column of the chunk's screened values
+    (-inf when fewer than k columns are sampled), which is cheaper to find
+    than the chunk's own k-th. A subset's k-th largest value is at most the
+    whole set's, and a chunk's k-th value is at most the global one, so t
+    is a lower bound of the global k-th value g. Every row with s >= g - 2E,
+    the global top k among them, therefore survives stage 1; the k-th
+    largest survivor is g itself, and stage 2 keeps the same rows, in the
+    same order, as it would after an exact per-chunk threshold. The extra
+    survivors cost only a longer sort.
     """
     n, dim = table.vectors.shape
     q_rows = np.asarray(q_rows, dtype=np.intp)

@@ -23,8 +23,8 @@ import functools
 import hashlib
 import itertools
 import logging
-import mmap
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -455,6 +455,7 @@ def _collect(path, name, blocks, rows: int, dim: int, declared: int | None, stri
             mat.resize((max(n + len(vals), len(mat) * 3 // 2), dim), refcheck=False)
         mat[n : n + len(vals)] = vals
         index.update(zip(tokens, range(n, n + len(tokens))))
+        del tokens, vals  # free the block before the next one is parsed
     n = len(index)
     if n == 0:
         raise DataError(f"{path}: no embedding records")
@@ -581,71 +582,174 @@ def _parse_lines(path, start: int, lines: list[str], dim: int, strict: bool):
 
 
 def _read_w2v_binary(path, name, strict: bool) -> EmbeddingTable:
-    if os.path.getsize(path) == 0:
-        raise DataError(f"{path}: empty file")
-    with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        nl = mm.find(b"\n", 0, 128)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            raise DataError(f"{path}: empty file")
+        head = f.read(128)
+        nl = head.find(b"\n")
         if nl < 0:
             raise DataError(f"{path}: missing '<vocab> <dim>' header line")
-        hdr = _two_ints(mm[:nl])
+        hdr = _two_ints(head[:nl])
         if hdr is None:
-            raise DataError(f"{path}: malformed header {mm[:nl]!r}")
+            raise DataError(f"{path}: malformed header {head[:nl]!r}")
         declared, dim = hdr
         if declared < 1 or dim < 1:
             raise DataError(f"{path}: header declares vocab {declared}, dim {dim}")
         # preallocate no more rows than the file can hold: each record is
         # at least a token byte, a space and dim float32 values
-        rows = min(declared, (mm.size() - nl - 1) // (4 * dim + 2))
-        blocks = _w2v_blocks(path, mm, nl + 1, declared, dim, strict)
+        rows = min(declared, (size - nl - 1) // (4 * dim + 2))
+        blocks = _w2v_blocks(path, f, head[nl + 1 :], size - nl - 1, declared, dim, strict)
         return _collect(path, name, blocks, rows, dim, declared, strict)
 
 
-def _w2v_blocks(path, mm, pos: int, declared: int, dim: int, strict: bool):
-    """(tokens, float32 values) of up to `declared` records from `pos` on,
-    about _READ_BYTES of values at a time; bytes after those are reported."""
+# a record's head: the spaces and LFs before it, then its token, of 1 to
+# _MAX_TOKEN_BYTES - 1 bytes with no space and no LF first
+_W2V_HEAD = rb"[ \n]*[^ \n][^ ]{0,%d}" % (_MAX_TOKEN_BYTES - 2)
+_SPACES = re.compile(rb"[ \n]*")
+
+
+def _w2v_blocks(path, f, buf: bytes, size: int, declared: int, dim: int, strict: bool):
+    """(tokens, float32 values) of up to `declared` records of `dim` values
+    from the file `f`, whose `size` bytes from here on begin with `buf`, in
+    blocks of as many records as hold _READ_BYTES of values; bytes after
+    those records are reported.
+
+    The file is read with plain reads of at most _READ_BYTES, each no larger
+    than the block still needs, so the buffer holds about one block. One
+    pattern, a whole record or else the rest of the buffer, is scanned with
+    `findall` from the first unparsed byte: each match starts where the last
+    ended, so no byte is skipped, and each whole record's head (the spaces
+    and LFs before it and its token) gives its length. A block's tokens are
+    decoded in one call and its rows gathered with one index. The record at
+    which the scan stops is checked on its own (`_w2v_fault`): the file is
+    read on while it may yet be whole, or it raises the error that reading
+    one record at a time gives, after any error of an earlier record of its
+    block and before the block's values are checked.
+    """
+    width = 4 * dim
+    per_block = -(-_READ_BYTES // width)
+    unread = size - len(buf)
+    # a pattern only for records the file can hold; re refuses repeat
+    # counts from 2**32 - 1 on, so a wider payload is matched in parts
+    whole = width + 2 <= size
+    if whole:
+        q, r = divmod(width, 1 << 30)
+        body = b"(?:.{%d}){%d}.{%d}" % (1 << 30, q, r) if q else b".{%d}" % r
+        record = re.compile(b"(%s) %s|.+" % (_W2V_HEAD, body), re.DOTALL)
+    buf = bytearray(buf)
+    heads: list[bytes] = []  # of the whole records in buf[:end], not yet in a block
+    end = 0
     read = 0
     while read < declared:
-        tokens: list[str] = []
-        payload: list[bytes] = []
-        while read < declared and 4 * dim * len(tokens) < _READ_BYTES:
-            while pos < len(mm) and mm[pos] in (0x20, 0x0A):
-                pos += 1
-            if pos >= len(mm):
-                break
-            # the byte at pos is no space, so a token found is not empty
-            sep = mm.find(b" ", pos, pos + _MAX_TOKEN_BYTES)
-            if sep < 0:
-                raise DataError(
-                    f"{path}: record {read}: no token terminator within "
-                    f"{_MAX_TOKEN_BYTES} bytes; file looks corrupt"
-                )
-            try:
-                token = mm[pos:sep].decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: record {read}: token is not valid UTF-8") from None
-            pos = sep + 1 + 4 * dim
-            if pos > len(mm):
-                raise DataError(f"{path}: record for token {token!r} truncated")
-            tokens.append(token)
-            payload.append(mm[sep + 1 : pos])
-            read += 1
-        if not tokens:
+        need = min(per_block, declared - read)
+        fault = None
+        while len(heads) < need:
+            if whole:
+                got = record.findall(buf, end)
+                if got and not got[-1]:
+                    got.pop()  # the rest of the buffer
+                heads += got
+                end += sum(map(len, got)) + (width + 1) * len(got)
+                if len(heads) >= need:
+                    break
+            start = _SPACES.match(buf, end).end()
+            if start < len(buf):
+                fault = _w2v_fault(path, buf, start, unread, width, read + len(heads))
+                if fault:
+                    break
+            else:
+                # only spaces and LFs are left: drop them
+                del buf[end:]
+                if not unread:
+                    break
+            # no more than the block still needs, so it is about all
+            # that the buffer holds
+            want = (need - len(heads)) * (width + 2) - (len(buf) - end)
+            data = f.read(min(_READ_BYTES, max(want, _MAX_TOKEN_BYTES)))
+            unread -= len(data)
+            buf += data
+        block, heads = heads[:need], heads[need:]
+        tokens = _w2v_tokens(path, block, read)
+        if fault:
+            raise fault
+        if not block:
             break
-        # copied out of the mmap, so no view pins it open
-        vals = np.frombuffer(b"".join(payload), "<f4").reshape(-1, dim)
+        vals, n = _w2v_rows(buf, block, width)
+        del buf[:n]
+        end -= n
+        read += len(block)
         bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
         if len(bad):
             raise DataError(f"{path}: non-finite value for token {tokens[bad[0]]!r}")
         yield tokens, vals
+        del tokens, vals  # the caller has copied the block
     if read == declared:
-        tail = mm[pos:].strip(b" \n")
+        tail = _w2v_tail(buf, f)
         if tail:
-            msg = f"{path}: {len(tail)} unexpected bytes after final record"
+            msg = f"{path}: {tail} unexpected bytes after final record"
             if strict:
                 raise DataError(msg)
             log.warning(msg)
-    # the file's pages leave memory before the table is built
-    mm.close()
+
+
+def _w2v_fault(path, buf, start: int, unread: int, width: int, record: int):
+    """The error of the record whose token starts at buf[start], by the
+    record-at-a-time checks in their order, or None while more of the
+    file's `unread` bytes may make it whole."""
+    sep = buf.find(b" ", start, start + _MAX_TOKEN_BYTES)
+    if sep < 0:
+        if unread and start + _MAX_TOKEN_BYTES > len(buf):
+            return None
+        return DataError(
+            f"{path}: record {record}: no token terminator within "
+            f"{_MAX_TOKEN_BYTES} bytes; file looks corrupt"
+        )
+    try:
+        token = buf[start:sep].decode("utf-8")
+    except UnicodeDecodeError:
+        return DataError(f"{path}: record {record}: token is not valid UTF-8")
+    if sep + 1 + width > len(buf) + unread:
+        return DataError(f"{path}: record for token {token!r} truncated")
+    return None
+
+
+def _w2v_tokens(path, heads: list[bytes], first: int) -> list[str]:
+    """The tokens of record heads, decoded at once; the first that is not
+    UTF-8 raises, named by its record number from `first` on."""
+    tokens = [h.lstrip(b" \n") for h in heads]
+    try:
+        return b" ".join(tokens).decode("utf-8").split(" ") if tokens else []
+    except UnicodeDecodeError:
+        for i, token in enumerate(tokens):
+            try:
+                token.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: record {first + i}: token is not valid UTF-8") from None
+        raise
+
+
+def _w2v_rows(buf, heads: list[bytes], width: int):
+    """The float32 rows of the consecutive whole records at the start of
+    `buf` with these heads, gathered with one index, and their bytes."""
+    ends = np.cumsum(np.fromiter(map(len, heads), np.intp, len(heads)) + (width + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(buf, np.uint8), width)
+    return windows[ends - width].view("<f4"), int(ends[-1])
+
+
+def _w2v_tail(rest, f) -> int:
+    """The length of `rest` and the file's remaining bytes, without the
+    spaces and LFs at either end, read with plain reads."""
+    first = last = None
+    offset = 0
+    for chunk in itertools.chain([bytes(rest)], iter(functools.partial(f.read, _READ_BYTES), b"")):
+        core = chunk.lstrip(b" \n")
+        if core:
+            if first is None:
+                first = offset + len(chunk) - len(core)
+            last = offset + len(chunk.rstrip(b" \n"))
+        offset += len(chunk)
+    return 0 if first is None else last - first
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,56 @@ def test_batch_topk_across_chunks_matches_oracle(monkeypatch, threads):
                 assert_matches_oracle(neighbors, oracle_knn(t, words[r], k, row_mask))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk_rows", [7, 65536])
+def test_subsampled_chunk_threshold_rescores_the_same_pairs(monkeypatch, chunk_rows, threads):
+    # the k-th largest of a chunk's subsampled columns is at most the
+    # chunk's k-th: stage 1 keeps more rows, and stage 2 rescores exactly
+    # the (query, row) pairs that the chunk's own k-th leaves. The last of
+    # the chunks of 7 holds 3 rows, so its subsample has fewer than k columns
+    # whenever the others do not
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(2025)
+    words = [f"w{i:02d}" for i in rng.permutation(45)]
+    vecs = rng.standard_normal((45, 4)).astype(np.float32)
+    vecs[7] = vecs[6]
+    vecs[14] = 2 * vecs[13]
+    vecs[20] = vecs[21] = vecs[22]
+    vecs[27] = vecs[35] = 0.0
+    t = make_table("t", words, vecs)
+    rows = [0, 6, 7, 13, 14, 20, 21, 27, 34, 35, 41, 42, 44]
+    mask = rng.random(45) < 0.7
+    rescored, screened = [], []
+    cosines, screen = analysis._cosines, analysis._screen
+
+    def cosines_spy(vectors, a, b):
+        rescored.extend(zip(a.tolist(), b.tolist()))
+        return cosines(vectors, a, b)
+
+    def screen_spy(table, lo, hi, *args):
+        qi, cand, s = screen(table, lo, hi, *args)
+        screened.append((hi - lo, len(qi), np.bincount(qi).max(initial=0)))
+        return qi, cand, s
+
+    monkeypatch.setattr(analysis, "_cosines", cosines_spy)
+    monkeypatch.setattr(analysis, "_screen", screen_spy)
+    subsample, kept = analysis._SUBSAMPLE, {}
+    for k in (1, 3, 10):
+        for row_mask in (None, mask):
+            runs = []
+            for stride in (subsample, 1):
+                monkeypatch.setattr(analysis, "_SUBSAMPLE", stride)
+                rescored.clear()
+                screened.clear()
+                got = analysis._batch_topk(t, rows, k, row_mask=row_mask, threads=threads)
+                runs.append((got, list(rescored)))
+                kept[stride] = kept.get(stride, 0) + sum(n for _, n, _ in screened)
+                # a query keeps at most every row of a chunk
+                assert all(most <= size for size, _, most in screened)
+            assert runs[0] == runs[1]
+    assert kept[subsample] > kept[1]
+
+
 # ---------------------------------------------------------------------------
 # certified search: exact against a rational oracle, and batch-independent
 

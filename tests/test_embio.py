@@ -1,6 +1,8 @@
 import logging
+import mmap
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     tables_equal,
 )
 from embcat import embio
+from embcat.cli import main
 from embcat.embio import (
     EmbeddingTable,
     Format,
@@ -773,25 +776,118 @@ def test_binary_short_last_block(tmp_path, monkeypatch, caplog):
         read_embeddings(p, Format.WORD2VEC_BINARY, strict=True)
 
 
-def test_binary_file_is_unmapped_before_the_table_is_built(tmp_path, monkeypatch):
-    # the file's pages are out of memory when the table adopts the matrix
-    maps, closed = [], []
-    blocks, adopt = embio._w2v_blocks, EmbeddingTable._adopt
+def test_binary_reads_map_nothing_and_hold_one_block(tmp_path, monkeypatch):
+    # plain reads: no mmap, and besides the matrix the read holds about a
+    # block of values and a block of file bytes, never the file
+    def refuse(*args, **kwargs):
+        raise AssertionError("the w2v reader maps the file")
 
-    def blocks_spy(path, mm, *args):
-        maps.append(mm)
-        return blocks(path, mm, *args)
-
-    def adopt_spy(*args):
-        closed.append(maps[0].closed)
-        return adopt(*args)
-
-    monkeypatch.setattr(embio, "_w2v_blocks", blocks_spy)
-    monkeypatch.setattr(EmbeddingTable, "_adopt", adopt_spy)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    rng = np.random.default_rng(5)
+    records = [(f"w{i}", rng.standard_normal(1000)) for i in range(2000)]
     p = tmp_path / "t.bin"
-    p.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [3.0, 4.0])], 2))
-    assert read_embeddings(p, Format.WORD2VEC_BINARY).words == ("a", "b")
-    assert closed == [True]
+    # with a run of 4 MB of LFs, which is not kept either
+    data = _w2v_bytes(records, 1000)
+    p.write_bytes(data.replace(b"\nw1000 ", b"\n" * (4 << 20) + b"w1000 "))
+    tracemalloc.start()
+    try:
+        t = read_embeddings(p, Format.WORD2VEC_BINARY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 2000 and np.array_equal(t.vectors[7], records[7][1].astype(np.float32))
+    assert peak < t.vectors.nbytes + 3 * embio._READ_BYTES
+
+
+class _ReadCounter:
+    """A file that records the size of each read."""
+
+    def __init__(self, f, counts):
+        self.f, self.counts = f, counts
+
+    def read(self, n=-1):
+        data = self.f.read(n)
+        self.counts.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_a_corrupt_record_stops_the_reads(tmp_path, monkeypatch, capsys):
+    # 4096 token bytes without a space at record 2, then 8 MB of good records
+    good = [(f"w{i}", [0.5] * 256) for i in range(8200)]
+    data = _w2v_bytes([("a", [0.5] * 256), ("b", [0.5] * 256)], 256, header=8203)
+    data += b"x" * 4096 + b" " + np.full(256, 0.5, "<f4").tobytes() + b"\n"
+    data += _w2v_bytes(good, 256).partition(b"\n")[2]
+    p = tmp_path / "corrupt.bin"
+    p.write_bytes(data)
+    assert len(data) > 8 << 20
+    msg = f"{p}: record 2: no token terminator within 4096 bytes; file looks corrupt"
+    assert _read_both_w2v(p, strict=False) == ("error", msg)
+    counts = []
+    monkeypatch.setattr(embio, "open", lambda *a: _ReadCounter(open(*a), counts), raising=False)
+    with pytest.raises(DataError):
+        read_embeddings(p, Format.WORD2VEC_BINARY)
+    # the bytes read end within two reads past the corrupt record
+    assert sum(counts) <= data.index(b"x" * 4096) + 4096 + 2 * embio._READ_BYTES
+    monkeypatch.undo()
+    assert main(["info", "--emb", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+def test_a_bad_token_is_reported_before_a_non_finite_value_in_its_block(tmp_path, monkeypatch):
+    # records are checked as they are read, the values once a block is whole
+    records = [("a", [1.0, np.inf]), ("b", [1.0, 2.0]), ("c", [3.0, 4.0])]
+    data = _w2v_bytes(records, 2).replace(b"\nc ", b"\n\xffc ")
+    p = tmp_path / "t.bin"
+    p.write_bytes(data)
+    with pytest.raises(DataError, match=r"t\.bin: record 2: token is not valid UTF-8$"):
+        read_embeddings(p, Format.WORD2VEC_BINARY)
+    # in blocks of two records, the first block's value comes first
+    monkeypatch.setattr(embio, "_READ_BYTES", 16)
+    with pytest.raises(DataError, match=r"t\.bin: non-finite value for token 'a'$"):
+        read_embeddings(p, Format.WORD2VEC_BINARY)
+
+
+def _edge_files():
+    """w2v bytes of the shapes a block scan can get wrong: records across
+    reads, runs of spaces and LFs longer than a read, the longest token,
+    LFs inside tokens, and headers at odds with the records."""
+    recs = [(w, [i, -i, 0.5]) for i, w in enumerate(["a", "b\nc", "d\n", "x" * 4095, "e"])]
+    body = _w2v_bytes(recs, 3).partition(b"\n")[2]
+    runs = b" \n" * 3000
+    return {
+        "lf": _w2v_bytes(recs, 3),
+        "no-lf": _w2v_bytes(recs, 3, sep_after=b""),
+        "runs": b"5 3\n" + runs + body.replace(b"\ne ", b"\n" + runs + b"e ") + runs,
+        "lead": b"5 3\n" + runs + b"\n" + runs + body,
+        "fewer": _w2v_bytes(recs, 3, header=3),
+        "fewer-no-lf": _w2v_bytes(recs, 3, header=4, sep_after=b""),
+        "last-cut": _w2v_bytes(recs, 3)[:-3],
+        "long-token-cut": _w2v_bytes(recs[:4], 3)[:-8],
+        "huge-dim": b"1 2305843009213693952\na " + bytes(8),
+    }
+
+
+@pytest.mark.parametrize("read_bytes", [1, 24, 4099, 1 << 20])
+@pytest.mark.parametrize("case", sorted(_edge_files()))
+def test_binary_edge_shapes_read_like_the_record_reference(tmp_path, monkeypatch, case, read_bytes):
+    monkeypatch.setattr(embio, "_READ_BYTES", read_bytes)
+    p = tmp_path / "t.bin"
+    p.write_bytes(_edge_files()[case])
+    for strict in (False, True):
+        got = _read_both_w2v(p, strict)
+    if case in ("lf", "no-lf", "runs", "lead"):
+        assert got[0] == "table" and got[1] == ("a", "b\nc", "d\n", "x" * 4095, "e")
+    if case == "huge-dim":
+        assert got == ("error", f"{p}: record for token 'a' truncated")
 
 
 def test_binary_nonfinite_in_a_dropped_duplicate(tmp_path):
