@@ -16,11 +16,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from embcat.analysis import pair_report
-from embcat.combine import recommend
-from embcat.corpus import read_conll, vocab_counts
+from embcat.analysis import pairwise_similarity, table_sides
+from embcat.combine import rank_pairs
+from embcat.corpus import read_conll, top_n_types, vocab_counts
 from embcat.embio import read_embeddings
 
+# the tables by name and file; the first is the reference side of each pair
+TABLES = {
+    "glove-6b-100d": "glove.6B.100d.txt",
+    "senna": "senna.txt",
+    "glove-840b-300d": "glove.840B.300d.txt",
+    "google-news": "GoogleNews-vectors-negative300.bin",
+}
 # reference values for this exact configuration: k=10 neighborhood overlap
 # over the 200 most frequent training types, lowercase lookup chain
 REFERENCE = {
@@ -45,37 +52,38 @@ def main(argv=None):
 
     t0 = time.monotonic()
     print("reading tables")
-    glove6b = read_embeddings(args.data / "glove.6B.100d.txt", name="glove-6b-100d")
-    senna = read_embeddings(args.data / "senna.txt", name="senna")
-    glove840b = read_embeddings(args.data / "glove.840B.300d.txt", name="glove-840b-300d")
-    gnews = read_embeddings(args.data / "GoogleNews-vectors-negative300.bin", name="google-news")
     train = vocab_counts(read_conll(args.data / "conll2003" / "train.txt", split="train"), "lowercase")
     dev = vocab_counts(read_conll(args.data / "conll2003" / "valid.txt", split="dev"), "lowercase")
     print(f"  train: {len(train.counts)} types / {train.total_tokens} tokens")
     print(f"  dev:   {len(dev.counts)} types / {dev.total_tokens} tokens")
+    # one pass: each table is read, covered and searched once, over both
+    # splits' queries, and dropped before the next is read
+    queries = [top_n_types(train, 200), top_n_types(dev, 200)]
+    tables = (read_embeddings(args.data / file, name=name) for name, file in TABLES.items())
+    names, attested, sides = table_sides(tables, [train, dev], queries, 10, True, threads=args.threads)
+    overlaps = pairwise_similarity(names, sides, queries, k=10)
 
     drifted = 0
     header = f"{'pair':>28s}  {'cell':>14s}  {'got':>6s}  {'want':>6s}  {'delta':>6s}"
     print()
     print(header)
     print("-" * len(header))
-    for other in (senna, glove840b, gnews):
-        row = pair_report([glove6b, other], train, dev, k=10, n=200, threads=args.threads)
-        for col in COLUMNS:
-            got = getattr(row, col)
-            want = REFERENCE[other.name][col]
+    for j in range(1, len(names)):
+        cells = [s[0, j].mean_jaccard_pct for s in overlaps] + attested[j]
+        for col, got in zip(COLUMNS, cells):
+            want = REFERENCE[names[j]][col]
             delta = got - want
             flag = "" if abs(delta) <= args.tol else "  <-- drift"
             if flag:
                 drifted += 1
             print(
-                f"{row.embedding_a + ' vs ' + row.embedding_b:>28s}  {col:>14s}"
+                f"{names[0] + ' vs ' + names[j]:>28s}  {col:>14s}"
                 f"  {got:6.1f}  {want:6.1f}  {delta:+6.1f}{flag}"
             )
 
     print()
     print("pair recommendation (overlap < 30.0 and min train coverage >= 70.0):")
-    for v in recommend([glove6b, senna, glove840b, gnews], train, dev, threads=args.threads):
+    for v in rank_pairs(names, attested, overlaps[0]):
         tag = "recommended" if v.recommended else "rejected"
         overlap = "not scored" if v.overlap is None else f"{v.overlap:.1f}"
         print(

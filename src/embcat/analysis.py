@@ -75,11 +75,11 @@ class NeighborSet:
 @dataclass(frozen=True)
 class SimilarityReport:
     mean_jaccard_pct: float
-    per_query: dict[str, float]
     k: int
     n_requested: int
     n_used: int
     n_skipped: int
+    per_query: dict[str, float]
     skipped: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
@@ -324,12 +324,12 @@ def neighbor_sets(
     *,
     mask: np.ndarray | None = None,
     threads: int | None = None,
-) -> tuple[dict[str, int], dict[int, set[str]]]:
-    """One table's side of an overlap: {query: row} of the queries that
-    resolve in it, and {row: set of its k nearest neighbor tokens,
-    lowercased when fold_case}, from one search over the distinct rows in
-    query order. `mask`, when given, limits the candidate rows, which must
-    leave every searched query k of them; k is checked before the search.
+) -> dict[str, frozenset[str]]:
+    """One table's side of an overlap: {query: frozenset of its k nearest
+    neighbor tokens, lowercased when fold_case} for each query that resolves
+    in the table, from one search over the distinct rows in query order.
+    `mask`, when given, limits the candidate rows, which must leave every
+    searched query k of them; k is checked before the search.
     """
     hits = resolve_rows(table, queries, fold_case).tolist()
     rows = {q: r for q, r in zip(queries, hits) if r >= 0}
@@ -341,12 +341,13 @@ def neighbor_sets(
         raise DataError(f"k={k} out of range for table {table.name!r} of {len(table)} rows")
     tops = _batch_topk(table, search, k, row_mask=mask, threads=threads) if search else []
     fold = str.lower if fold_case else str
-    return rows, {r: {fold(w) for w, _ in top} for r, top in zip(search, tops)}
+    sets = {r: frozenset(fold(w) for w, _ in top) for r, top in zip(search, tops)}
+    return {q: sets[r] for q, r in rows.items()}
 
 
 def pairwise_similarity(
     names: list[str],
-    sides: list[tuple[dict[str, int], dict[int, set[str]]]],
+    sides: list[dict[str, frozenset[str]]],
     query_lists: list[list[str]],
     k: int = 10,
 ) -> list[dict[tuple[int, int], SimilarityReport]]:
@@ -354,12 +355,11 @@ def pairwise_similarity(
     query list: one {(i, j): SimilarityReport} dict per list, in pair order,
     that leaves out each pair with no query left in that list.
 
-    `sides[i]` is table i's `neighbor_sets` over every query of the lists.
-    A query is skipped with a reason when it is a duplicate or missing from
-    either table, and a list that no pair can score raises.
+    `sides[i]` is table i's `neighbor_sets` over every query of the lists,
+    so a pair's score needs nothing of either table. A query is skipped
+    with a reason when it is a duplicate or missing from either side, and a
+    list that no pair can score raises.
     """
-    rows = [row_of for row_of, _ in sides]
-    sets = [sets_of for _, sets_of in sides]
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
     reports: list[dict[tuple[int, int], SimilarityReport]] = []
     for queries in query_lists:
@@ -369,13 +369,13 @@ def pairwise_similarity(
             skipped: list[tuple[str, str]] = []
             seen: set[str] = set()
             for q in queries:
-                missing = [names[x] for x in (i, j) if q not in rows[x]]
+                missing = [names[x] for x in (i, j) if q not in sides[x]]
                 if q in seen:
                     skipped.append((q, "duplicate query"))
                 elif missing:
                     skipped.append((q, "not in " + " or ".join(missing)))
                 else:
-                    per_query[q] = jaccard(sets[i][rows[i][q]], sets[j][rows[j][q]])
+                    per_query[q] = jaccard(sides[i][q], sides[j][q])
                 seen.add(q)
             if per_query:
                 scored[i, j] = SimilarityReport(

@@ -15,7 +15,6 @@ import math
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 from . import __version__
 from .analysis import coverage, embedding_similarity, pair_report
@@ -66,17 +65,13 @@ def _parse_data_arg(value: str) -> tuple[str, str]:
     return "other", value
 
 
-def _load_table(arg: str, fmt: Format | None, strict: bool = False):
-    name, path = _parse_emb_arg(arg)
-    table = read_embeddings(path, fmt, name=name, strict=strict)
-    return table, path
-
-
-def _load_tables(args, sources: list):
-    """Every --emb table in order, read when asked for, with its (name, path,
-    vocab, dim) appended to `sources`. No yielded table is kept past its turn."""
-    for emb in args.emb:
-        table, path = _load_table(emb, args.emb_format)
+def _load_tables(args, specs: list[str], sources: list, strict: bool = False):
+    """The table of each "name=path" or bare path in `specs`, in order, read
+    when asked for, with its (name, path, vocab, dim) appended to `sources`.
+    No yielded table is kept past its turn."""
+    for spec in specs:
+        name, path = _parse_emb_arg(spec)
+        table = read_embeddings(path, args.emb_format, name=name, strict=strict)
         sources.append((table.name, path, len(table), table.dim))
         yield table
         del table
@@ -106,17 +101,14 @@ def _parse_normalize(spec: str) -> bool:
 
 def _count_normalization(args) -> str:
     """Types are counted in the space lookups happen in, unless --raw."""
-    if args.raw:
-        return "exact"
-    return "lowercase" if args.fold_case else "exact"
+    return "lowercase" if args.fold_case and not args.raw else "exact"
 
 
 def _train_dev_counts(args):
-    """Type counts of --train and --dev; both are read before either is counted."""
+    """Type counts of --train and --dev; each dataset is dropped once counted."""
     norm = _count_normalization(args)
-    train_ds = _read_dataset(args, args.train, "train")
-    dev_ds = _read_dataset(args, args.dev, "dev")
-    return vocab_counts(train_ds, norm), vocab_counts(dev_ds, norm)
+    train = vocab_counts(_read_dataset(args, args.train, "train"), norm)
+    return train, vocab_counts(_read_dataset(args, args.dev, "dev"), norm)
 
 
 def _read_dataset(args, path: str, split: str = "other"):
@@ -151,8 +143,9 @@ def _cmd_info(args):
 
 
 def _cmd_convert(args):
-    table, path = _load_table(args.emb, args.emb_format, args.strict)
-    manifest = build_manifest(args, {"emb": path})
+    sources = []
+    [table] = _load_tables(args, [args.emb], sources, args.strict)
+    manifest = build_manifest(args, {"emb": sources[0][1]})
     out_sha = write_embeddings(table, args.out, args.to)
     return {
         "out": args.out,
@@ -210,21 +203,20 @@ def _cmd_convert_tags(args):
 
 
 def _cmd_coverage(args):
-    table, path = _load_table(args.emb, args.emb_format)
-    dataset = _read_dataset(args, args.data, args.split)
-    counts = vocab_counts(dataset, _count_normalization(args))
+    counts = vocab_counts(_read_dataset(args, args.data, args.split), _count_normalization(args))
+    sources = []
+    [table] = _load_tables(args, [args.emb], sources)
     report = asdict(coverage(counts, table, args.fold_case))
     report["embedding"] = table.name
     report["normalization"] = counts.normalization
-    report["manifest"] = build_manifest(args, {"emb": path, "data": args.data})
+    report["manifest"] = build_manifest(args, {"emb": sources[0][1], "data": args.data})
     return report
 
 
 def _cmd_similarity(args):
-    dataset = _read_dataset(args, args.data, args.split)
-    counts = vocab_counts(dataset, _count_normalization(args))
-    table_a, path_a = _load_table(args.emb_a, args.emb_format)
-    table_b, path_b = _load_table(args.emb_b, args.emb_format)
+    counts = vocab_counts(_read_dataset(args, args.data, args.split), _count_normalization(args))
+    sources = []
+    table_a, table_b = _load_tables(args, [args.emb_a, args.emb_b], sources)
     queries = top_n_types(counts, args.top_n)
     sim = embedding_similarity(
         table_a,
@@ -235,26 +227,19 @@ def _cmd_similarity(args):
         shared_vocab_only=args.shared_vocab_only,
         threads=args.threads,
     )
-    return {
-        "embedding_a": table_a.name,
-        "embedding_b": table_b.name,
-        "mean_jaccard_pct": sim.mean_jaccard_pct,
-        "k": sim.k,
-        "n_requested": sim.n_requested,
-        "n_used": sim.n_used,
-        "n_skipped": sim.n_skipped,
-        "per_query": sim.per_query,
-        "skipped": [list(s) for s in sim.skipped],
-        "manifest": build_manifest(args, {"emb_a": path_a, "emb_b": path_b, "data": args.data}),
-    }
+    report = {"embedding_a": table_a.name, "embedding_b": table_b.name, **asdict(sim)}
+    report["skipped"] = [list(s) for s in sim.skipped]
+    paths = {"emb_a": sources[0][1], "emb_b": sources[1][1], "data": args.data}
+    report["manifest"] = build_manifest(args, paths)
+    return report
 
 
 def _cmd_pair_report(args):
     train, dev = _train_dev_counts(args)
-    tables = (_load_table(emb, args.emb_format)[0] for emb in (args.emb_a, args.emb_b))
+    sources = []
+    tables = _load_tables(args, [args.emb_a, args.emb_b], sources)
     row = pair_report(tables, train, dev, args.k, args.top_n, args.fold_case, threads=args.threads)
-    paths = {"emb_a": _parse_emb_arg(args.emb_a)[1], "emb_b": _parse_emb_arg(args.emb_b)[1]}
-    paths.update(train=args.train, dev=args.dev)
+    paths = {"emb_a": sources[0][1], "emb_b": sources[1][1], "train": args.train, "dev": args.dev}
     return {**asdict(row), "manifest": build_manifest(args, paths)}
 
 
@@ -264,17 +249,14 @@ def _cmd_combine(args):
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
     if args.min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {args.min_count}")
-    paths = {}
-    datasets = []
-    for spec in args.data:
-        split, path = _parse_data_arg(spec)
-        datasets.append(_read_dataset(args, path, split))
-        paths[f"data:{path}"] = path
+    specs = [_parse_data_arg(spec) for spec in args.data]
+    datasets = (_read_dataset(args, path, split) for split, path in specs)
     vocab = model_vocab(datasets, splits, args.min_count, _count_normalization(args))
+    paths = {f"data:{path}": path for _, path in specs}
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
     sources = []
-    table = combine(_load_tables(args, sources), vocab, policy, backfill, args.fold_case)
+    table = combine(_load_tables(args, args.emb, sources), vocab, policy, backfill, args.fold_case)
     if args.add_special_tokens:
         table = zero_token_row(table, PAD_TOKEN)
     paths.update((f"emb:{n}", p) for n, p, _, _ in sources)
@@ -323,7 +305,7 @@ def _cmd_recommend(args):
     train, dev = _train_dev_counts(args)
     sources = []
     verdicts = recommend(
-        _load_tables(args, sources),
+        _load_tables(args, args.emb, sources),
         train,
         dev,
         args.tau_sim,

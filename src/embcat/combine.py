@@ -10,13 +10,13 @@ or pretrained only inside it (overlap). No table is rebuilt.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-# `coverage` is not called here: `bench/tracing.py` hooks it by this name
-from .analysis import coverage, pairwise_similarity, table_sides  # noqa: F401
+from .analysis import SimilarityReport, pairwise_similarity, table_sides
 from .corpus import VocabCounts, top_n_types, vocab_counts
 from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_rows
 from .errors import DataError
@@ -93,17 +93,20 @@ def model_vocab(
     descending then token ascending.
 
     `splits=None` keeps every dataset; otherwise only datasets whose split
-    is listed contribute.
+    is listed contribute. `datasets` may be any iterable, such as a
+    generator: each is dropped once counted.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    chosen = [d for d in datasets if splits is None or d.split in splits]
-    if not chosen:
-        raise DataError("no datasets selected for the model vocabulary")
     merged: dict[str, int] = {}
-    for ds in chosen:
-        for t, c in vocab_counts(ds, normalization).counts.items():
-            merged[t] = merged.get(t, 0) + c
+    for ds in datasets:
+        if splits is None or ds.split in splits:
+            for t, c in vocab_counts(ds, normalization).counts.items():
+                merged[t] = merged.get(t, 0) + c
+        del ds  # free it before the next dataset is read
+    # every dataset has a token, so no count means no dataset was selected
+    if not merged:
+        raise DataError("no datasets selected for the model vocabulary")
     kept = {t: c for t, c in merged.items() if c >= min_count}
     if not kept:
         raise DataError(f"no types reach min_count={min_count}")
@@ -133,7 +136,9 @@ def combine(
                          first vocabulary, so only the overlap stays
                          pretrained.
     Output depends only on the inputs and the backfill seed. `tables` may
-    be any iterable; each is dropped once its columns are filled.
+    be any iterable; each is dropped once its columns are filled. Of a table
+    before `applies_to`, only the types and lowercased types it holds are
+    kept as first vocabulary: a resolved row's token is one of them.
     """
     idx = policy.applies_to
     names, blocks, first_vocab = [], [], set()
@@ -168,7 +173,7 @@ def combine(
         block[drawn] = random_vectors(backfill, table.name, keys, table.dim)
         blocks.append(block)
         if idx is not None and ti < idx:
-            first_vocab.update(table.words)
+            first_vocab.update(w for t in vocab.types for w in (t, t.lower()) if w in table)
         del table  # free its matrix before the next table is read
     if not names:
         raise DataError("need at least one source table")
@@ -248,27 +253,38 @@ def recommend(
         raise DataError(f"need at least two tables to recommend pairs, got {len(names)}")
     if len(set(names)) != len(names):
         raise DataError(f"table name collision in {names}")
-    cov_train, cov_dev = zip(*cov)
     sims = pairwise_similarity(names, sides, [queries], k)[0]
+    return rank_pairs(names, cov, sims, tau_sim, tau_cov)
+
+
+def rank_pairs(
+    names: list[str],
+    cov: list[list[float]],
+    sims: dict[tuple[int, int], SimilarityReport],
+    tau_sim: float = 30.0,
+    tau_cov: float = 70.0,
+) -> list[PairVerdict]:
+    """`recommend`'s verdicts from what its tables left: their names, each
+    one's train and dev `attested_pct` (`table_sides`), and `sims`, the
+    `pairwise_similarity` of the train split's top-n types."""
+    cov_train, cov_dev = zip(*cov)
     verdicts = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            sim = sims.get((i, j))
-            overlap = None if sim is None else sim.mean_jaccard_pct
-            min_att = min(cov_train[i], cov_train[j])
-            verdicts.append(
-                PairVerdict(
-                    embedding_a=names[i],
-                    embedding_b=names[j],
-                    overlap=overlap,
-                    attested_a=cov_train[i],
-                    attested_b=cov_train[j],
-                    attested_dev_a=cov_dev[i],
-                    attested_dev_b=cov_dev[j],
-                    min_attested=min_att,
-                    recommended=overlap is not None and overlap < tau_sim and min_att >= tau_cov,
-                )
+    for i, j in itertools.combinations(range(len(names)), 2):
+        overlap = sims[i, j].mean_jaccard_pct if (i, j) in sims else None
+        min_att = min(cov_train[i], cov_train[j])
+        verdicts.append(
+            PairVerdict(
+                embedding_a=names[i],
+                embedding_b=names[j],
+                overlap=overlap,
+                attested_a=cov_train[i],
+                attested_b=cov_train[j],
+                attested_dev_a=cov_dev[i],
+                attested_dev_b=cov_dev[j],
+                min_attested=min_att,
+                recommended=overlap is not None and overlap < tau_sim and min_att >= tau_cov,
             )
+        )
     verdicts.sort(
         key=lambda v: (
             not v.recommended,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import string
@@ -801,6 +802,48 @@ def test_cli_holds_one_table_at_a_time(
     assert all(ref() is None for ref in refs)
 
 
+@pytest.mark.parametrize("kind", ["conll", "text"])
+@pytest.mark.parametrize(
+    "subcommand", ["combine", "similarity", "pair-report", "recommend", "coverage"]
+)
+def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcommand, kind):
+    # every corpus is read, counted and dropped before the first table is read
+    n_tables = 1 if subcommand == "coverage" else 2
+    emb, _ = _table_args(tmp_path, subcommand, n_tables)
+    corpus = tmp_path / "corpus"
+    if kind == "conll":
+        corpus.write_text(CONLL)
+    else:
+        corpus.write_text("pos\tEU rejects German\nneg\tPeter Blackburn\n")
+    if subcommand == "combine":
+        data = ["--data", f"train={corpus}", "--data", f"dev={corpus}", "--out", str(tmp_path / "o")]
+    elif subcommand in ("similarity", "coverage"):
+        data = ["--data", str(corpus)]
+    else:
+        data = ["--train", str(corpus), "--dev", str(corpus), "--k", "2"]
+    refs = []
+    live_at_read = []
+    for reader in ("read_conll", "read_labeled_text"):
+
+        def tracked(*args, _read=getattr(cli, reader), **kwargs):
+            dataset = _read(*args, **kwargs)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(cli, reader, tracked)
+    read = cli.read_embeddings
+
+    def table_read(*args, **kwargs):
+        live_at_read.append((len(refs), sum(ref() is not None for ref in refs)))
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_embeddings", table_read)
+    code, _, err = run(capsys, subcommand, *emb, *data, "--data-kind", kind)
+    assert code == 0, err
+    n_corpora = 1 if subcommand in ("similarity", "coverage") else 2
+    assert live_at_read == [(n_corpora, 0)] * n_tables
+
+
 @pytest.mark.parametrize(
     "subcommand, n_tables",
     [("recommend", 3), ("pair-report", 2), ("combine", 3)],
@@ -994,3 +1037,108 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vocab"] == 2
+
+
+def _lcg_values(seed, count):
+    """`count` values in [-1, 1) with 4 decimals, from a fixed integer
+    recurrence, so the fixtures do not depend on numpy's generators."""
+    x = seed
+    for _ in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        yield ((x >> 33) % 20000 - 10000) / 10000
+
+
+def _golden_inputs(path):
+    """Two GloVe text tables that share part of their vocabularies (cased
+    and lowercased tokens among them), a CoNLL corpus and a labeled text
+    corpus over those tokens, and gold and predicted tag files."""
+    words = ["The", "the", "EU", "eu", "German", "Peter", "rejects", "call"]
+    words += [f"w{i:02d}" for i in range(52)]
+    vocab = {"A": words[:48], "B": words[:6] + words[12:] + ["zz", "Zq"]}
+    for seed, (name, table) in enumerate(vocab.items(), 1):
+        values = iter(_lcg_values(seed, 8 * len(table)))
+        lines = [w + "".join(f" {next(values):.4f}" for _ in range(8)) for w in table]
+        (path / f"{name}.txt").write_text("\n".join(lines) + "\n")
+    corpus = [w for i, w in enumerate(words + ["zz", "oov"]) for _ in range(1 + (i * 7) % 5)]
+    sentences = [corpus[i : i + 9] for i in range(0, len(corpus), 9)]
+    tags = ["B-ORG", "I-ORG", "O", "B-PER", "O", "O", "I-LOC", "O", "B-MISC"]
+    (path / "train.conll").write_text(
+        "-DOCSTART- O\n\n" + "\n\n".join("\n".join(f"{w} {t}" for w, t in zip(s, tags))
+                                        for s in sentences) + "\n"
+    )
+    (path / "train.tsv").write_text(
+        "".join(f"{'pos' if i % 2 else 'neg'}\t{' '.join(s)}\n" for i, s in enumerate(sentences))
+    )
+    pred = (path / "train.conll").read_text().replace("I-ORG", "O").replace("B-MISC", "B-LOC")
+    (path / "pred.conll").write_text(pred)
+
+
+# each command's arguments and the sha256 of its stdout and of its output
+# file, if any, as recorded before the change that last altered them; a
+# change that alters a byte updates this table and says so in CHANGES.md
+_SIMILARITY = "similarity --emb-a A.txt --emb-b B.txt --data train.conll --top-n 30 --k 5"
+GOLDEN = {
+    "info": (
+        "info --emb A.txt",
+        "07c07d4de7f6976e34a4faeabc43d534c1dfdb464a55c9dcaae4d3dfc8239034",
+        None,
+    ),
+    "convert-glove": (
+        "convert --emb B.txt --out out --to glove",
+        "3d0268d16f4167ea8b65f4822cef3388136edb848dbf10cd2e2dba26cce045fd",
+        "6109b5f2741027df3cd32844f00f32a96d08f4a8f84e05177078145fdd9fc5ee",
+    ),
+    "convert-glove-header": (
+        "convert --emb B.txt --out out --to glove-header",
+        "3faa84900e3bc292694491d73f5fc8df3c7331a74eebf9b1374b1922c272e378",
+        "fe3b6e4f0afed53ade733f4b88a6aa4322ead67e9226a60d2995e94494406b93",
+    ),
+    "convert-w2v": (
+        "convert --emb B.txt --out out --to w2v",
+        "80dc92908679fa1750524f946e878c33004c806ecee861d19e5d32b1fd28a91c",
+        "b54e2261001ec11cb24179fabd35243187d7ed8bbac8508e6a004d2391815386",
+    ),
+    "convert-tags": (
+        "convert-tags --data train.conll --out out --from iob1 --to iobes",
+        "3e59a7baa7dbb0e39f7dda4454404c631e76582d8b4db3bbefedaba6b52aa2be",
+        "1e9a42ecad167ec1a5c9b8cc82ab0a63316c79134d60f2651413340130cbb215",
+    ),
+    "coverage-conll": (
+        "coverage --emb B.txt --data train.conll --split train",
+        "a10ef409a168b3468fb2282eeff4fbdd99dcc5d32e64878020cc9fb7eb287891",
+        None,
+    ),
+    "coverage-text": (
+        "coverage --emb A.txt --data train.tsv --data-kind text --normalize exact",
+        "6fba279ccdaeeb44617d8849e62cbe58ba0f656f2dba33804fc1ac4b4dff57fe",
+        None,
+    ),
+    "similarity": (
+        _SIMILARITY,
+        "66cbf91f2e8f6c0119047a4b00285d939ce6143c789a7a7332b00441a1179542",
+        None,
+    ),
+    "similarity-shared-vocab-only": (
+        _SIMILARITY + " --shared-vocab-only",
+        "1eb5f533b775475ce2da26d4523f9e1340780fce98708c8fc3ab4c6207194941",
+        None,
+    ),
+    "score": (
+        "score --gold train.conll --pred pred.conll",
+        "a997d6b06b20657ae68abaac579d4d607d88936feebd461a91dc34bf810ded35",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_stable_outputs_match_their_recorded_digests(capsys, tmp_path, monkeypatch, name):
+    # the subcommands the bench does not run: their stable report and
+    # output file bytes are pinned here
+    monkeypatch.chdir(tmp_path)
+    _golden_inputs(tmp_path)
+    argv, stdout_sha, out_sha = GOLDEN[name]
+    code, out, err = run(capsys, *argv.split(), "--stable")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
+    assert (file_sha256("out") if "--out" in argv else None) == out_sha

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -590,6 +591,41 @@ def test_holds_one_table_at_a_time(command, names):
     rng = np.random.default_rng(11)
     whole = [random_table(rng, name=name, n=21 + 3 * i, dim=4 + i) for i, name in enumerate(names)]
     assert result == command(whole)
+
+
+def _held_at_second_table(kind):
+    """The bytes `combine` holds under `kind` when it asks for the second
+    table, the first being a dropped 400k-token table (GloVe 6B's size)."""
+    types = ["The", "the", "Paris", "w000007", "W000011", "rare"] + [f"x{i}" for i in range(60)]
+    second = make_table("second", types[:4] + ["only"], np.ones((5, 3)))
+    held = []
+
+    def tables():
+        words = tuple(f"w{i:06d}" for i in range(400_000)) + ("the", "paris")
+        index = dict(zip(words, range(len(words))))
+        vectors = np.zeros((len(words), 1), np.float32)
+        first = [EmbeddingTable._adopt("first", words, vectors, index)]
+        del words, index, vectors
+        # traced from here: what `combine` allocates and still holds
+        tracemalloc.start()
+        yield first.pop()
+        held.append(tracemalloc.get_traced_memory()[0])
+        yield second
+
+    policy = CombinePolicy(kind, None if kind == "Concat" else 1)
+    try:
+        combine(tables(), mv(*types), policy, BF)
+    finally:
+        tracemalloc.stop()
+    return held[0]
+
+
+def test_an_ablation_keeps_no_more_of_a_dropped_table_than_concat():
+    # of an earlier table, an ablation keeps only the tokens that a
+    # vocabulary type can resolve to, not the table's whole vocabulary
+    concat = _held_at_second_table("Concat")
+    for kind in ("RandomSecond", "ComplementSecond", "MatchedSecond"):
+        assert _held_at_second_table(kind) <= concat + 2**20, kind
 
 
 def test_recommend_checks_the_table_count_and_names_after_reading():

@@ -52,8 +52,9 @@ def _child(args, config, cwd):
 
 
 def _write_inputs(path):
-    """Tables A, B and C of more than CHUNK_ROWS rows each, and a corpus
-    whose most frequent types are the queries."""
+    """Tables A, B and C of more than CHUNK_ROWS rows each, D, whose
+    vocabulary is a strict subset of A's, and a corpus whose most frequent
+    types are the queries."""
     rng = np.random.default_rng(2024)
     n = CHUNK_ROWS + 1500
     queries = [f"q{i:02d}" for i in range(N_QUERIES)]
@@ -77,6 +78,13 @@ def _write_inputs(path):
         order = np.concatenate([np.arange(N_QUERIES), N_QUERIES + rng.permutation(n - N_QUERIES)])
         table = make_table(name, [words[o] for o in order], vectors[order])
         write_embeddings(table, path / f"{name}.bin", Format.WORD2VEC_BINARY)
+        if name == "C":
+            # C's rows without every third non-query row, a third of each
+            # cluster among them: masked to D's words, A's search has to
+            # decide among the remaining near-tied rows
+            keep = [r for r in range(n) if r < N_QUERIES or r % 3]
+            subset = make_table("D", [table.words[r] for r in keep], table.vectors[keep])
+            write_embeddings(subset, path / "D.bin", Format.WORD2VEC_BINARY)
     lines = [f"{q} O" for q in queries for _ in range(3)]
     lines += [f"{w} O" for w in words[len(queries) : len(queries) + 500]]
     (path / "train.conll").write_text("\n".join(lines) + "\n")
@@ -105,6 +113,8 @@ def test_stable_outputs_are_the_same_bytes_on_every_blas_kernel(tmp_path):
                         "--k", str(K), "--top-n", str(N_QUERIES), *common],
         "recommend": ["recommend", "--emb", "A.bin", "--emb", "B.bin", "--emb", "C.bin",
                       "--k", str(K), "--top-n", str(N_QUERIES), *common],
+        "similarity": ["similarity", "--emb-a", "A.bin", "--emb-b", "D.bin", "--data", "train.conll",
+                       "--k", str(K), "--top-n", str(N_QUERIES), "--shared-vocab-only", "--stable"],
         "combine": ["combine", "--emb", "A.bin", "--emb", "B.bin", "--data", "train=train.conll",
                     "--policy", "random-second", "--out", "AB.glove", "--stable"],
     }

@@ -1,19 +1,22 @@
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import make_table
+from embcat import analysis
 from embcat.embio import Format, write_embeddings
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_reproduce_overlap_table_reports_an_unscored_pair(tmp_path, capsys):
-    # senna and google-news share no corpus type, so recommend leaves their
-    # pair unscored; every pair with glove-6b shares two. Each table holds
-    # k=10 other rows besides its corpus types
+def _reproduction_data(path):
+    """The four tables and the CoNLL-2003 splits the reproduction reads, in
+    miniature. senna and google-news share no corpus type, so recommend
+    leaves their pair unscored; every pair with glove-6b shares two. Each
+    table holds k=10 other rows besides its corpus types."""
     tables = {
         "glove.6B.100d.txt": ["a", "b", "c", "d"],
         "senna.txt": ["a", "b"],
@@ -24,18 +27,51 @@ def test_reproduce_overlap_table_reports_an_unscored_pair(tmp_path, capsys):
         words += [f"{file}-{i}" for i in range(10)]
         vectors = [[i + 1.0, 1.0] for i in range(len(words))]
         fmt = Format.WORD2VEC_BINARY if file.endswith(".bin") else Format.GLOVE_TEXT
-        write_embeddings(make_table("t", words, vectors), tmp_path / file, fmt)
-    (tmp_path / "conll2003").mkdir()
+        write_embeddings(make_table("t", words, vectors), path / file, fmt)
+    (path / "conll2003").mkdir()
     for split in ("train", "valid"):
-        (tmp_path / "conll2003" / f"{split}.txt").write_text("a O\nb O\nc O\nd O\n")
-    spec = importlib.util.spec_from_file_location("script", SCRIPTS / "reproduce_overlap_table.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+        (path / "conll2003" / f"{split}.txt").write_text("a O\nb O\nc O\nd O\n")
+
+
+def test_reproduce_overlap_table_reports_an_unscored_pair(tmp_path, capsys):
+    _reproduction_data(tmp_path)
+    script = _load("reproduce_overlap_table")
     code = script.main(["--data", str(tmp_path), "--threads", "1"])
     out = capsys.readouterr().out
     # the tiny tables drift from the reference cells
     assert code == 1
     assert "senna + google-news: rejected (overlap not scored, min attested 50.0)" in out
+
+
+def test_reproduce_overlap_table_holds_one_table_at_a_time(tmp_path, capsys, monkeypatch):
+    # each table is read and searched once, and its matrix is freed before
+    # the next one is read
+    _reproduction_data(tmp_path)
+    script = _load("reproduce_overlap_table")
+    refs = []
+    live_at_read = []
+    read = script.read_embeddings
+
+    def tracked(*args, **kwargs):
+        live_at_read.append(sum(ref() is not None for ref in refs))
+        table = read(*args, **kwargs)
+        refs.append(weakref.ref(table.vectors))
+        return table
+
+    searched = []
+    search = analysis._batch_topk
+
+    def spy(table, *args, **kwargs):
+        searched.append(table.name)
+        return search(table, *args, **kwargs)
+
+    monkeypatch.setattr(script, "read_embeddings", tracked)
+    monkeypatch.setattr(analysis, "_batch_topk", spy)
+    script.main(["--data", str(tmp_path), "--threads", "1"])
+    assert live_at_read == [0] * 4
+    assert all(ref() is None for ref in refs)
+    assert searched == list(script.TABLES)
+    assert "senna + google-news: rejected" in capsys.readouterr().out
 
 
 def _load(name):
