@@ -12,9 +12,16 @@ byte for byte against the parent. Then each checkout makes one timed run,
 the parent first in even-numbered pairs and the change first in odd ones.
 Each run's verdict is printed as it ends. The summary gives, per
 end-to-end metric, each side's median and quartiles and the pairs in which
-the change was better (ties count for neither side), and whether that meets
-the gain rule: better in at least nine pairs of ten, and medians further
-apart than the parent's interquartile range.
+the change was better (ties count for neither side), and two rulings:
+
+- gain: at least 10 pairs, the change better in at least nine pairs of
+  ten, its median better than the parent's by more than the parent's
+  interquartile range, and no more failed operations than the parent;
+- no-regression verdict, with the metric's BENCHMARK.json bound taken
+  relative to the parent's median: "worse" when the change's median is
+  worse than the parent's by more than the bound; else "unresolved" when
+  the parent's interquartile range is wider than the bound, unless every
+  change run beats every parent run; else "ok".
 """
 
 import argparse
@@ -63,18 +70,28 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def summarize(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> list[dict]:
     """Per end-to-end metric of (parent, change) result pairs: each side's
-    median and quartiles, the pairs the change won and whether the gain
-    rule holds. `better` maps a metric to "lower" or "higher"."""
+    median and quartiles, the pairs the change won, whether the gain rule
+    holds and the no-regression verdict. `spec` maps a metric to its
+    BENCHMARK.json entry, of which "better" ("lower" or "higher") and
+    "bound" are read."""
+    failed_parent, failed_change = (sum(pair[i]["failed"] for pair in pairs) for i in (0, 1))
     rows = []
     for name in pairs[0][0]["metrics"]:
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        sign = -1.0 if spec[name]["better"] == "lower" else 1.0
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         p_q1, p_q3 = _quartiles(parent)
+        bound = spec[name]["bound"] * abs(p_med)
+        if sign * (c_med - p_med) < -bound:
+            verdict = "worse"
+        elif p_q3 - p_q1 > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append({
             "metric": name,
             "unit": pairs[0][0]["metrics"][name]["unit"],
@@ -82,19 +99,21 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "change": (c_med, *_quartiles(change)),
             "wins": wins,
             "pairs": len(pairs),
-            "gain": wins >= 0.9 * len(pairs) and sign * (c_med - p_med) > p_q3 - p_q1,
+            "gain": len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+            and sign * (c_med - p_med) > p_q3 - p_q1 and failed_change <= failed_parent,
+            "verdict": verdict,
         })
     return rows
 
 
-def report(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
+def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> str:
     """The summary table, and each side's failed runs and operations."""
     out = [f"{'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
-           f"  change better  gain"]
-    for row in summarize(pairs, better):
+           f"  change better  gain  verdict"]
+    for row in summarize(pairs, spec):
         p, c = ("{:.4g} [{:.4g}, {:.4g}]".format(*row[side]) for side in ("parent", "change"))
         out.append(f"{row['metric']:12s} {p:>34s} {c:>34s}  {row['wins']:>4d} of {row['pairs']:<4d}"
-                   f"   {'yes' if row['gain'] else 'no':3s}  {row['unit']}")
+                   f"   {'yes' if row['gain'] else 'no':3s}   {row['verdict']:10s}  {row['unit']}")
     for side, i in (("parent", 0), ("change", 1)):
         runs = [pair[i] for pair in pairs]
         wrong = sum(not r["correct"] for r in runs)
@@ -113,8 +132,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec = {m["name"]: m for m in benchmark["end_to_end"]}
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -136,7 +155,7 @@ def main(argv=None) -> int:
             for problem in result["problems"]:
                 print(f"  {problem}", flush=True)
         pairs.append((results["parent"], results["change"]))
-    print(report(pairs, better))
+    print(report(pairs, spec))
     return 0
 
 

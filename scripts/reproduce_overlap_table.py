@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from embcat.analysis import pairwise_similarity, table_sides
 from embcat.combine import rank_pairs
-from embcat.corpus import read_conll, top_n_types, vocab_counts
+from embcat.corpus import conll_tokens, top_n_types, vocab_counts
 from embcat.embio import read_embeddings
 
 # the tables by name and file; the first is the reference side of each pair
@@ -52,8 +52,8 @@ def main(argv=None):
 
     t0 = time.monotonic()
     print("reading tables")
-    train = vocab_counts(read_conll(args.data / "conll2003" / "train.txt", split="train"), "lowercase")
-    dev = vocab_counts(read_conll(args.data / "conll2003" / "valid.txt", split="dev"), "lowercase")
+    train = vocab_counts(conll_tokens(args.data / "conll2003" / "train.txt"), "lowercase", "train")
+    dev = vocab_counts(conll_tokens(args.data / "conll2003" / "valid.txt"), "lowercase", "dev")
     print(f"  train: {len(train.counts)} types / {train.total_tokens} tokens")
     print(f"  dev:   {len(dev.counts)} types / {dev.total_tokens} tokens")
     # one pass: each table is read, covered and searched once, over both

@@ -22,11 +22,11 @@ from .combine import (
     recommend,
 )
 from .corpus import (
-    TextDataset,
     TokenDataset,
     VocabCounts,
+    conll_tokens,
     read_conll,
-    read_labeled_text,
+    text_tokens,
     top_n_types,
     vocab_counts,
 )
@@ -63,11 +63,11 @@ __all__ = [
     "RandomBackfill",
     "ScoreReport",
     "SimilarityReport",
-    "TextDataset",
     "TokenDataset",
     "VocabCounts",
     "bio_to_iobes",
     "combine",
+    "conll_tokens",
     "coverage",
     "detect_format",
     "embedding_similarity",
@@ -81,8 +81,8 @@ __all__ = [
     "random_vectors",
     "read_conll",
     "read_embeddings",
-    "read_labeled_text",
     "recommend",
+    "text_tokens",
     "top_n_types",
     "vocab_counts",
     "write_embeddings",

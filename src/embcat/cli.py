@@ -27,7 +27,15 @@ from .combine import (
     with_special_tokens,
     zero_token_row,
 )
-from .corpus import SPLITS, conll_blocks, read_conll, read_labeled_text, top_n_types, vocab_counts
+from .corpus import (
+    SPLITS,
+    conll_blocks,
+    conll_tokens,
+    read_conll,
+    text_tokens,
+    top_n_types,
+    vocab_counts,
+)
 from .embio import (
     Format,
     RandomBackfill,
@@ -99,29 +107,14 @@ def _parse_normalize(spec: str) -> bool:
     return len(chain) == 2
 
 
-def _count_normalization(args) -> str:
-    """Types are counted in the space lookups happen in, unless --raw."""
-    return "lowercase" if args.fold_case and not args.raw else "exact"
-
-
-def _train_dev_counts(args):
-    """Type counts of --train and --dev; each dataset is dropped once counted."""
-    norm = _count_normalization(args)
-    train = vocab_counts(_read_dataset(args, args.train, "train"), norm)
-    return train, vocab_counts(_read_dataset(args, args.dev, "dev"), norm)
-
-
-def _read_dataset(args, path: str, split: str = "other"):
+def _counts(args, path: str, split: str = "other"):
+    """The type counts of one corpus, counted as its tokens are read, in the
+    space lookups happen in unless --raw."""
     if args.data_kind == "conll":
-        return read_conll(
-            path,
-            token_column=args.token_column,
-            label_column=args.label_column,
-            split=split,
-        )
-    return read_labeled_text(
-        path, delimiter=args.delimiter, label_field=args.label_field, split=split
-    )
+        tokens = conll_tokens(path, token_column=args.token_column, label_column=args.label_column)
+    else:
+        tokens = text_tokens(path, delimiter=args.delimiter, label_field=args.label_field)
+    return vocab_counts(tokens, "lowercase" if args.fold_case and not args.raw else "exact", split)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +196,7 @@ def _cmd_convert_tags(args):
 
 
 def _cmd_coverage(args):
-    counts = vocab_counts(_read_dataset(args, args.data, args.split), _count_normalization(args))
+    counts = _counts(args, args.data, args.split)
     sources = []
     [table] = _load_tables(args, [args.emb], sources)
     report = asdict(coverage(counts, table, args.fold_case))
@@ -214,7 +207,7 @@ def _cmd_coverage(args):
 
 
 def _cmd_similarity(args):
-    counts = vocab_counts(_read_dataset(args, args.data, args.split), _count_normalization(args))
+    counts = _counts(args, args.data, args.split)
     sources = []
     table_a, table_b = _load_tables(args, [args.emb_a, args.emb_b], sources)
     queries = top_n_types(counts, args.top_n)
@@ -235,7 +228,7 @@ def _cmd_similarity(args):
 
 
 def _cmd_pair_report(args):
-    train, dev = _train_dev_counts(args)
+    train, dev = _counts(args, args.train, "train"), _counts(args, args.dev, "dev")
     sources = []
     tables = _load_tables(args, [args.emb_a, args.emb_b], sources)
     row = pair_report(tables, train, dev, args.k, args.top_n, args.fold_case, threads=args.threads)
@@ -247,11 +240,9 @@ def _cmd_combine(args):
     splits = _parse_splits(args.splits)
     policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
-    if args.min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {args.min_count}")
     specs = [_parse_data_arg(spec) for spec in args.data]
-    datasets = (_read_dataset(args, path, split) for split, path in specs)
-    vocab = model_vocab(datasets, splits, args.min_count, _count_normalization(args))
+    counts = (_counts(args, path, split) for split, path in specs)
+    vocab = model_vocab(counts, splits, args.min_count)
     paths = {f"data:{path}": path for _, path in specs}
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
@@ -302,7 +293,7 @@ def _cmd_recommend(args):
             raise ValueError(f"{option} must be finite, got {tau}")
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
-    train, dev = _train_dev_counts(args)
+    train, dev = _counts(args, args.train, "train"), _counts(args, args.dev, "dev")
     sources = []
     verdicts = recommend(
         _load_tables(args, args.emb, sources),

@@ -1,23 +1,25 @@
 """Concatenated embedding construction and pair recommendation.
 
-Builds a model-ready table over a dataset vocabulary by concatenating one
-row per source table, backfilling unattested types with keyed random
-vectors. Three ablation variants decide, row by row, whether the second
-table's slice is its pretrained row or a keyed random vector: always
-random, pretrained only outside the first table's vocabulary (complement),
-or pretrained only inside it (overlap). No table is rebuilt.
+Builds a model-ready table over a corpus vocabulary (`model_vocab`, the
+types of merged corpus counts) by concatenating one row per source table,
+backfilling unattested types with keyed random vectors. Three ablation
+variants decide, row by row, whether the second table's slice is its
+pretrained row or a keyed random vector: always random, pretrained only
+outside the first table's vocabulary (complement), or pretrained only
+inside it (overlap). No table is rebuilt.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SimilarityReport, pairwise_similarity, table_sides
-from .corpus import VocabCounts, top_n_types, vocab_counts
+from .corpus import VocabCounts, top_n_types
 from .embio import EmbeddingTable, RandomBackfill, random_vectors, resolve_rows
 from .errors import DataError
 
@@ -65,7 +67,6 @@ class ModelVocab:
     """The ordered type list a combined table is built over."""
 
     types: tuple[str, ...]
-    counts: dict[str, int]
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
@@ -73,45 +74,41 @@ class ModelVocab:
             raise ValueError("model vocabulary is empty")
         if len(set(self.types)) != len(self.types):
             raise ValueError("model vocabulary types are not unique")
-        if set(self.counts) != set(self.types):
-            raise ValueError("counts do not cover exactly the vocabulary types")
-        for t, c in self.counts.items():
-            if c < 0:
-                raise ValueError(f"type {t!r} has negative count {c}")
 
     def __len__(self) -> int:
         return len(self.types)
 
 
 def model_vocab(
-    datasets,
+    counts: Iterable[VocabCounts],
     splits: list[str] | None = None,
     min_count: int = 1,
-    normalization: str = "exact",
 ) -> ModelVocab:
-    """Union of type counts over the selected datasets, ordered count
-    descending then token ascending.
+    """The types whose summed count over the selected corpus counts reaches
+    `min_count`, ordered count descending then token ascending.
 
-    `splits=None` keeps every dataset; otherwise only datasets whose split
-    is listed contribute. `datasets` may be any iterable, such as a
-    generator: each is dropped once counted.
+    `splits=None` keeps every count; otherwise only counts whose split is
+    listed contribute, and they must share one normalization. `counts` may
+    be any iterable, such as a generator that reads each corpus only when
+    asked: `min_count` is checked before the first is drawn.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    merged: dict[str, int] = {}
-    for ds in datasets:
-        if splits is None or ds.split in splits:
-            for t, c in vocab_counts(ds, normalization).counts.items():
-                merged[t] = merged.get(t, 0) + c
-        del ds  # free it before the next dataset is read
-    # every dataset has a token, so no count means no dataset was selected
+    merged: Counter[str] = Counter()
+    norms = set()
+    for vc in counts:
+        if splits is None or vc.split in splits:
+            norms.add(vc.normalization)
+            merged.update(vc.counts)
+    if len(norms) > 1:
+        raise ValueError(f"cannot merge counts with mixed normalizations {sorted(norms)}")
+    # every count holds a type, so no type means no corpus was selected
     if not merged:
         raise DataError("no datasets selected for the model vocabulary")
-    kept = {t: c for t, c in merged.items() if c >= min_count}
+    kept = [(t, c) for t, c in merged.items() if c >= min_count]
     if not kept:
         raise DataError(f"no types reach min_count={min_count}")
-    ordered = tuple(t for t, _ in sorted(kept.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ModelVocab(ordered, kept)
+    return ModelVocab(tuple(t for t, _ in sorted(kept, key=lambda kv: (-kv[1], kv[0]))))
 
 
 def combine(
@@ -121,8 +118,9 @@ def combine(
     backfill: RandomBackfill,
     fold_case: bool = True,
 ) -> EmbeddingTable:
-    """One output row per vocabulary type: the concatenation, over source
-    tables, of the looked-up row or the keyed random backfill vector.
+    """One output row per type of `vocab`, in its order: the concatenation,
+    over source tables, of the looked-up row or the keyed random backfill
+    vector.
 
     Under an ablation policy, the slice of table `policy.applies_to` for a
     type that resolves to one of its rows is that row or the keyed random
@@ -192,12 +190,9 @@ def combine(
 def with_special_tokens(vocab: ModelVocab) -> ModelVocab:
     """Prepend <PAD> and <UNK> to a model vocabulary."""
     for tok in (PAD_TOKEN, UNK_TOKEN):
-        if tok in vocab.counts:
+        if tok in vocab.types:
             raise DataError(f"vocabulary already contains {tok!r}")
-    return ModelVocab(
-        (PAD_TOKEN, UNK_TOKEN, *vocab.types),
-        {PAD_TOKEN: 0, UNK_TOKEN: 0, **vocab.counts},
-    )
+    return ModelVocab((PAD_TOKEN, UNK_TOKEN, *vocab.types))
 
 
 def zero_token_row(table: EmbeddingTable, token: str) -> EmbeddingTable:

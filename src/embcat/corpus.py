@@ -1,10 +1,13 @@
 """Corpus readers and type-frequency statistics.
 
-Two dataset shapes: token-level (CoNLL column files, one token per line,
-blank line between sentences) and example-level (labeled text, one example
-per line). Both feed the same type-counting path used for coverage
-diagnostics and model-vocabulary construction. `conll_blocks` is the one
-reader of CoNLL files, behind both `read_conll` and `convert-tags`.
+Corpora enter embcat as type counts. One token reader per format streams a
+file's tokens, checking each line as it goes: `conll_tokens` reads CoNLL
+column files (one token per line, blank line between sentences) and
+`text_tokens` reads labeled text (one example per line). `vocab_counts`
+counts any token stream, so a corpus is counted as it is read and no
+dataset of it is built. `conll_blocks` is the one reader of CoNLL files,
+behind `conll_tokens`, `convert-tags` and `read_conll`, which keeps the
+sentences that `score` aligns.
 """
 
 from __future__ import annotations
@@ -57,38 +60,6 @@ class TokenDataset:
     @property
     def n_tokens(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
-
-    def iter_tokens(self):
-        for sent in self.sentences:
-            yield from sent.tokens
-
-
-class Example(NamedTuple):
-    label: str
-    tokens: tuple[str, ...]
-
-
-@dataclass
-class TextDataset:
-    """Labeled examples, one tokenized text per label."""
-
-    examples: tuple[Example, ...]
-    split: str = "other"
-    n_skipped: int = 0
-
-    def __post_init__(self):
-        _check_split(self.split)
-        self.examples = tuple(self.examples)
-        for i, ex in enumerate(self.examples):
-            if not ex.tokens:
-                raise ValueError(f"example {i} has no tokens")
-
-    def __len__(self) -> int:
-        return len(self.examples)
-
-    def iter_tokens(self):
-        for ex in self.examples:
-            yield from ex.tokens
 
 
 @dataclass
@@ -168,26 +139,33 @@ def read_conll(
     return TokenDataset(tuple(sentences), split=split, lines=tuple(lines))
 
 
-def read_labeled_text(
-    path,
-    *,
-    delimiter: str = "\t",
-    label_field: int = 0,
-    split: str = "other",
-) -> TextDataset:
-    """Read one labeled example per line.
+def conll_tokens(path, *, token_column: int = 0, label_column: int = -1):
+    """The tokens of a CoNLL column file, in order (`conll_blocks`): every
+    sentence line must hold both columns. A file without a sentence fails
+    with "no sentences" once it is read."""
+    empty = True
+    for block in conll_blocks(path, {"token": token_column, "label": label_column}):
+        if isinstance(block, list):
+            empty = False
+            yield from [fields[token_column] for _, fields in block]
+    if empty:
+        raise DataError(f"{path}: no sentences")
+
+
+def text_tokens(path, *, delimiter: str = "\t", label_field: int = 0):
+    """The text tokens of a labeled-text file, one example per line, in order.
 
     The line splits on `delimiter`; `label_field` selects the label and the
     remaining fields, joined back together, are whitespace-tokenized into
-    the text. Empty lines are skipped and counted on the dataset.
+    the text. Each example needs a label and a token. Empty lines are
+    skipped; a file without an example fails with "no examples" once it is
+    read.
     """
-    examples: list[Example] = []
-    skipped = 0
+    empty = True
     with utf8_input(path), open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n")
             if not line.strip():
-                skipped += 1
                 continue
             fields = line.split(delimiter)
             n = len(fields)
@@ -196,31 +174,27 @@ def read_labeled_text(
                     f"{path}:{lineno}: label field {label_field} out of range "
                     f"for {n}-field line"
                 )
-            label = fields[label_field].strip()
-            if not label:
+            if not fields.pop(label_field).strip():
                 raise DataError(f"{path}:{lineno}: empty label")
-            rest = fields[:label_field % n] + fields[label_field % n + 1 :]
-            text_tokens = tuple(" ".join(rest).split())
-            if not text_tokens:
+            tokens = " ".join(fields).split()
+            if not tokens:
                 raise DataError(f"{path}:{lineno}: no text tokens")
-            examples.append(Example(label, text_tokens))
-    if not examples:
+            empty = False
+            yield from tokens
+    if empty:
         raise DataError(f"{path}: no examples")
-    return TextDataset(tuple(examples), split=split, n_skipped=skipped)
 
 
-def vocab_counts(dataset, normalization: str = "exact") -> VocabCounts:
-    """Count surface types over a dataset's tokens."""
+def vocab_counts(tokens, normalization: str = "exact", split: str = "other") -> VocabCounts:
+    """Count the surface types of a token stream, such as a token reader's,
+    under `normalization`, as the counts of `split`."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-    counter: Counter[str] = Counter()
-    if normalization == "lowercase":
-        counter.update(t.lower() for t in dataset.iter_tokens())
-    else:
-        counter.update(dataset.iter_tokens())
+    _check_split(split)
+    counter = Counter(map(str.lower, tokens) if normalization == "lowercase" else tokens)
     if not counter:
-        raise DataError("dataset has no tokens")
-    return VocabCounts(dict(counter), normalization=normalization, split=dataset.split)
+        raise DataError("no tokens to count")
+    return VocabCounts(dict(counter), normalization=normalization, split=split)
 
 
 def top_n_types(counts: VocabCounts, n: int) -> list[str]:

@@ -19,7 +19,7 @@ from conftest import ablated_reference, make_table, oracle_vector, tables_equal
 from embcat.analysis import embedding_similarity, knn, pair_report
 from embcat.cli import main
 from embcat.combine import CombinePolicy, ModelVocab, combine, recommend
-from embcat.corpus import read_conll, vocab_counts
+from embcat.corpus import conll_tokens, vocab_counts
 from embcat.embio import (
     EmbeddingTable,
     Format,
@@ -229,7 +229,7 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
         )
         first_vocab |= {f"x{i}" for i in range(int(rng.integers(0, 4)))}
         first = make_table("first", sorted(first_vocab), np.zeros((len(first_vocab), 2)))
-        vocab = ModelVocab(second.words, {w: 1 for w in second.words})
+        vocab = ModelVocab(second.words)
         comp, match, rand = (
             combine([first, second], vocab, CombinePolicy(kind), backfill).vectors[:, 2:]
             for kind in ("ComplementSecond", "MatchedSecond", "RandomSecond")
@@ -260,7 +260,7 @@ def test_criterion_6_ablation_properties_and_thread_determinism():
         a = _random_table(rng, int(rng.integers(5, 20)), int(rng.integers(1, 6)), "A")
         b = _random_table(rng, int(rng.integers(5, 20)), int(rng.integers(1, 6)), "B")
         types = tuple(f"w{i:05d}" for i in range(int(rng.integers(3, 25))))
-        vocab = ModelVocab(types, {t: 1 for t in types})
+        vocab = ModelVocab(types)
         kind = ["Concat", "RandomSecond", "ComplementSecond", "MatchedSecond"][
             int(rng.integers(4))
         ]
@@ -300,10 +300,8 @@ def test_criterion_7_reproduces_published_overlap_and_coverage():
     senna = read_embeddings(REPRODUCTION_FILES["senna"], name="senna")
     glove840b = read_embeddings(REPRODUCTION_FILES["glove_840b"], name="glove-840b-300d")
     gnews = read_embeddings(REPRODUCTION_FILES["google_news"], name="google-news")
-    train = vocab_counts(
-        read_conll(REPRODUCTION_FILES["conll_train"], split="train"), "lowercase"
-    )
-    dev = vocab_counts(read_conll(REPRODUCTION_FILES["conll_dev"], split="dev"), "lowercase")
+    train = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_train"]), "lowercase", "train")
+    dev = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_dev"]), "lowercase", "dev")
 
     tol = 2.0
     expected = {

@@ -19,7 +19,7 @@ from embcat.analysis import (
     pair_report,
 )
 from embcat.combine import recommend
-from embcat.corpus import Sentence, TokenDataset, VocabCounts, top_n_types, vocab_counts
+from embcat.corpus import VocabCounts, top_n_types, vocab_counts
 from embcat.errors import DataError
 
 
@@ -503,8 +503,7 @@ def test_coverage_monotone_under_added_rows():
 
 def test_pair_report_identity():
     t = make_table("T", ["a", "b", "c", "d"], np.eye(4))
-    ds = TokenDataset((Sentence(tuple("abcd"), ("O",) * 4),), split="train")
-    counts = vocab_counts(ds)
+    counts = vocab_counts("abcd", split="train")
     row = pair_report([t, t], counts, counts, k=2, n=4)
     assert (row.overlap_train, row.overlap_dev) == (100.0, 100.0)
     assert (row.attested_train, row.attested_dev) == (100.0, 100.0)

@@ -21,6 +21,9 @@ STALE = {
     # `recommend` reaches coverage only through `table_sides`, whose calls
     # the ("embcat.analysis", "coverage") hook already times and counts
     ("embcat.combine", "coverage"),
+    # `model_vocab` merges counts that `cli._counts` made through the
+    # ("embcat.cli", "vocab_counts") hook; it counts no corpus itself
+    ("embcat.combine", "vocab_counts"),
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import make_table, oracle_vector
 from embcat import __version__, analysis, cli
 from embcat.cli import main
+from embcat.corpus import TokenDataset
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
 
@@ -807,7 +808,8 @@ def test_cli_holds_one_table_at_a_time(
     "subcommand", ["combine", "similarity", "pair-report", "recommend", "coverage"]
 )
 def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcommand, kind):
-    # every corpus is read, counted and dropped before the first table is read
+    # no dataset object is built behind a count, and every corpus is
+    # counted in full before the first table is read
     n_tables = 1 if subcommand == "coverage" else 2
     emb, _ = _table_args(tmp_path, subcommand, n_tables)
     corpus = tmp_path / "corpus"
@@ -821,27 +823,41 @@ def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcomma
         data = ["--data", str(corpus)]
     else:
         data = ["--train", str(corpus), "--dev", str(corpus), "--k", "2"]
-    refs = []
-    live_at_read = []
-    for reader in ("read_conll", "read_labeled_text"):
+    built = []
+    post_init = TokenDataset.__post_init__
 
-        def tracked(*args, _read=getattr(cli, reader), **kwargs):
-            dataset = _read(*args, **kwargs)
-            refs.append(weakref.ref(dataset))
-            return dataset
+    def spy(self):
+        built.append(len(self))
+        post_init(self)
 
-        monkeypatch.setattr(cli, reader, tracked)
+    monkeypatch.setattr(TokenDataset, "__post_init__", spy)
+    counted = []
+    count = cli.vocab_counts
+
+    def counting(*args, **kwargs):
+        counts = count(*args, **kwargs)
+        counted.append(counts.total_tokens)
+        return counts
+
+    monkeypatch.setattr(cli, "vocab_counts", counting)
+    counted_at_read = []
     read = cli.read_embeddings
 
     def table_read(*args, **kwargs):
-        live_at_read.append((len(refs), sum(ref() is not None for ref in refs)))
+        counted_at_read.append(list(counted))
         return read(*args, **kwargs)
 
     monkeypatch.setattr(cli, "read_embeddings", table_read)
     code, _, err = run(capsys, subcommand, *emb, *data, "--data-kind", kind)
     assert code == 0, err
     n_corpora = 1 if subcommand in ("similarity", "coverage") else 2
-    assert live_at_read == [(n_corpora, 0)] * n_tables
+    assert built == []
+    assert counted_at_read == [[5] * n_corpora] * n_tables
+    # `score` aligns sentences, so it still reads each file into a dataset
+    gold = tmp_path / "gold.conll"
+    gold.write_text(CONLL)
+    code, _, err = run(capsys, "score", "--gold", str(gold), "--pred", str(gold))
+    assert code == 0 and built == [2, 2], err
 
 
 @pytest.mark.parametrize(
@@ -1069,6 +1085,8 @@ def _golden_inputs(path):
     (path / "train.tsv").write_text(
         "".join(f"{'pos' if i % 2 else 'neg'}\t{' '.join(s)}\n" for i, s in enumerate(sentences))
     )
+    # SST-2's layout: the label, one space, then the text
+    (path / "train.txt").write_text("".join(f"{i % 2} {' '.join(s)}\n" for i, s in enumerate(sentences)))
     pred = (path / "train.conll").read_text().replace("I-ORG", "O").replace("B-MISC", "B-LOC")
     (path / "pred.conll").write_text(pred)
 
@@ -1123,6 +1141,26 @@ GOLDEN = {
         "1eb5f533b775475ce2da26d4523f9e1340780fce98708c8fc3ab4c6207194941",
         None,
     ),
+    "combine-text": (
+        ["combine", "--emb", "A.txt", "--emb", "B.txt", "--data", "train=train.txt",
+         "--data-kind", "text", "--delimiter", " ", "--policy", "complement-second",
+         "--add-special-tokens", "--out", "out"],
+        "5477455943d92294652cb6cb8bfee896f4ed0253f17c0ecdc233e17f806a0edd",
+        "82ab5a4f65ff8115da7a27c2fe3b14e526cdf53458890ed9fb4660ee58166e0d",
+    ),
+    "recommend-text": (
+        "recommend --emb A.txt --emb B.txt --emb C=B.txt --train train.tsv --dev train.tsv"
+        " --data-kind text --top-n 30 --k 5",
+        "ec8f490f8d0669119613107c51ac369a34bec5b4c29aed9bb183b7e78a5dc470",
+        None,
+    ),
+    "pair-report-text": (
+        ["pair-report", "--emb-a", "A.txt", "--emb-b", "B.txt", "--train", "train.txt",
+         "--dev", "train.txt", "--data-kind", "text", "--delimiter", " ", "--top-n", "30",
+         "--k", "5", "--normalize", "exact"],
+        "c1c3ceb47d0be6df7569eeefb6c8ff67b730092be659e6246635c8f71c355127",
+        None,
+    ),
     "score": (
         "score --gold train.conll --pred pred.conll",
         "a997d6b06b20657ae68abaac579d4d607d88936feebd461a91dc34bf810ded35",
@@ -1138,7 +1176,8 @@ def test_stable_outputs_match_their_recorded_digests(capsys, tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     _golden_inputs(tmp_path)
     argv, stdout_sha, out_sha = GOLDEN[name]
-    code, out, err = run(capsys, *argv.split(), "--stable")
+    # a list keeps an argument that holds a space
+    code, out, err = run(capsys, *(argv if isinstance(argv, list) else argv.split()), "--stable")
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
     assert (file_sha256("out") if "--out" in argv else None) == out_sha

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,12 +24,11 @@ from embcat.combine import (
     zero_token_row,
 )
 from embcat.corpus import (
-    Example,
-    Sentence,
-    TextDataset,
-    TokenDataset,
     VocabCounts,
+    conll_tokens,
+    text_tokens,
     top_n_types,
+    vocab_counts,
 )
 from embcat.embio import (
     EmbeddingTable,
@@ -43,8 +43,8 @@ from embcat.errors import DataError
 BF = RandomBackfill(20240817)
 
 
-def sent_ds(tokens, split="train"):
-    return TokenDataset((Sentence(tuple(tokens), ("O",) * len(tokens)),), split=split)
+def counts(tokens, split="train", normalization="exact"):
+    return vocab_counts(tokens, normalization, split)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +77,13 @@ def test_policy_parse():
 
 
 def test_model_vocab_examples():
-    assert model_vocab([sent_ds(["a", "b", "a"])]).types == ("a", "b")
-    assert model_vocab([sent_ds(["a", "b", "a"])], min_count=2).types == ("a",)
+    assert model_vocab([counts(["a", "b", "a"])]).types == ("a", "b")
+    assert model_vocab([counts(["a", "b", "a"])], min_count=2).types == ("a",)
 
 
 def test_model_vocab_splits_selector():
-    train = sent_ds(["x"], "train")
-    test = sent_ds(["y"], "test")
+    train = counts(["x"], "train")
+    test = counts(["y"], "test")
     assert model_vocab([train, test]).types == ("x", "y")
     v = model_vocab([train, test], splits=["train"])
     assert v.types == ("x",)
@@ -91,21 +91,28 @@ def test_model_vocab_splits_selector():
         model_vocab([train], splits=["dev"])
 
 
-def test_model_vocab_mixed_dataset_kinds():
-    tok = sent_ds(["film", "the"], "train")
-    txt = TextDataset((Example("1", ("the", "end")),), split="dev")
-    v = model_vocab([tok, txt])
-    assert v.counts == {"film": 1, "the": 2, "end": 1}
-    assert v.types[0] == "the"  # highest count first
+def test_model_vocab_mixed_dataset_kinds(tmp_path):
+    conll = tmp_path / "train.conll"
+    conll.write_text("film O\nthe O\n")
+    text = tmp_path / "dev.tsv"
+    text.write_text("1\tthe end\n")
+    v = model_vocab([vocab_counts(conll_tokens(conll), split="train"),
+                     vocab_counts(text_tokens(text), split="dev")])
+    assert v.types == ("the", "end", "film")  # highest count first
 
 
 def test_model_vocab_normalization():
-    v = model_vocab([sent_ds(["The", "the"])], normalization="lowercase")
-    assert v.types == ("the",) and v.counts == {"the": 2}
+    v = model_vocab([counts(["The", "the"], normalization="lowercase")])
+    assert v.types == ("the",)
+    # one vocabulary is counted in one space
+    mixed = [counts(["a"]), counts(["a"], "dev", "lowercase")]
+    with pytest.raises(ValueError, match="mixed normalizations"):
+        model_vocab(mixed)
+    assert model_vocab(mixed, splits=["dev"]).types == ("a",)
 
 
 def test_model_vocab_ordering():
-    v = model_vocab([sent_ds(["b", "a", "b", "c", "a"])])
+    v = model_vocab([counts(["b", "a", "b", "c", "a"])])
     assert v.types == ("a", "b", "c")  # counts 2,2,1; tie a<b
 
 
@@ -115,20 +122,30 @@ token_lists = st.lists(
 
 
 @settings(max_examples=60)
-@given(tokens=token_lists)
-def test_model_vocab_set_union_oracle(tokens):
-    v = model_vocab([sent_ds(tokens)])
+@given(tokens=token_lists, cut=st.integers(0, 20))
+def test_model_vocab_set_union_oracle(tokens, cut):
+    # the same vocabulary from one corpus or from the two halves of it
+    v = model_vocab([counts(tokens[:cut]), counts(tokens[cut:])] if 0 < cut < len(tokens)
+                    else [counts(tokens)])
     assert set(v.types) == set(tokens)
-    assert sum(v.counts.values()) == len(tokens)
+    total = Counter(tokens)
+    assert v.types == tuple(sorted(total, key=lambda t: (-total[t], t)))
 
 
 def test_model_vocab_validation():
     with pytest.raises(ValueError):
-        ModelVocab((), {})
+        ModelVocab(())
     with pytest.raises(ValueError):
-        ModelVocab(("a", "a"), {"a": 1})
-    with pytest.raises(ValueError):
-        ModelVocab(("a",), {"b": 1})
+        ModelVocab(("a", "a"))
+
+
+def test_model_vocab_checks_min_count_before_reading_a_corpus():
+    def unread():
+        raise AssertionError("a corpus was counted")
+        yield
+
+    with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+        model_vocab(unread(), min_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +311,7 @@ def two_tables():
 
 
 def mv(*types):
-    return ModelVocab(tuple(types), {t: 1 for t in types})
+    return ModelVocab(types)
 
 
 def test_combine_dims_and_rows():
@@ -392,8 +409,10 @@ def test_combine_projection_property():
 def test_with_special_tokens():
     v = with_special_tokens(mv("a", "b"))
     assert v.types == (PAD_TOKEN, UNK_TOKEN, "a", "b")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="'<PAD>'"):
         with_special_tokens(v)
+    with pytest.raises(DataError, match="'<UNK>'"):
+        with_special_tokens(mv("a", UNK_TOKEN))
 
 
 def test_zero_token_row():

@@ -1,17 +1,18 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import merge_counts, write_conll
 from embcat.corpus import (
-    Example,
     Sentence,
-    TextDataset,
     TokenDataset,
     VocabCounts,
     conll_blocks,
+    conll_tokens,
     read_conll,
-    read_labeled_text,
+    text_tokens,
     top_n_types,
     vocab_counts,
 )
@@ -39,6 +40,7 @@ def test_read_conll(tmp_path):
     assert ds.sentences[1].labels == ("B-PER", "I-PER")
     assert ds.n_tokens == 6
     assert ds.split == "train"
+    assert list(conll_tokens(p)) == ["EU", "rejects", "German", "call", "Peter", "Blackburn"]
 
 
 def test_read_conll_column_selection(tmp_path):
@@ -47,6 +49,7 @@ def test_read_conll_column_selection(tmp_path):
     ds = read_conll(p, token_column=1, label_column=2)
     assert ds.sentences[0].tokens[0] == "NNP"
     assert ds.sentences[0].labels[0] == "B-NP"
+    assert list(conll_tokens(p, token_column=1, label_column=2))[:2] == ["NNP", "VBZ"]
 
 
 def test_read_conll_column_out_of_range(tmp_path):
@@ -56,6 +59,8 @@ def test_read_conll_column_out_of_range(tmp_path):
         read_conll(p, label_column=5)
     with pytest.raises(DataError):
         read_conll(p, token_column=-3)
+    with pytest.raises(DataError, match="bad.conll:1"):
+        list(conll_tokens(p, label_column=5))
 
 
 def test_conll_blocks_yields_sentences_and_separators(tmp_path):
@@ -81,7 +86,11 @@ def test_conll_blocks_names_the_first_missing_column(tmp_path):
         list(conll_blocks(p, {"token": -3, "label": 2}))
 
 
-@pytest.mark.parametrize("reader", [read_conll, read_labeled_text])
+@pytest.mark.parametrize(
+    "reader",
+    [read_conll, lambda p: list(conll_tokens(p)), lambda p: list(text_tokens(p))],
+    ids=["read_conll", "conll_tokens", "text_tokens"],
+)
 def test_read_not_utf8_names_line(tmp_path, reader):
     p = tmp_path / "latin1.txt"
     p.write_bytes(b"O\tok\nO\tcaf\xe9\n")
@@ -94,6 +103,8 @@ def test_read_conll_empty(tmp_path):
     p.write_text("\n\n")
     with pytest.raises(DataError, match="no sentences"):
         read_conll(p)
+    with pytest.raises(DataError, match="empty.conll: no sentences"):
+        list(conll_tokens(p))
 
 
 def test_read_conll_no_trailing_blank(tmp_path):
@@ -106,40 +117,40 @@ def test_read_conll_no_trailing_blank(tmp_path):
 def test_read_labeled_text_tab(tmp_path):
     p = tmp_path / "data.tsv"
     p.write_text("pos\tgreat fun movie\nneg\tit was dull\n\n")
-    ds = read_labeled_text(p, split="train")
-    assert len(ds) == 2
-    assert ds.examples[0] == Example("pos", ("great", "fun", "movie"))
-    assert ds.n_skipped == 1
-    assert len(list(ds.iter_tokens())) == 6
+    # the empty line is skipped
+    assert list(text_tokens(p)) == ["great", "fun", "movie", "it", "was", "dull"]
+    assert vocab_counts(text_tokens(p), split="train").split == "train"
 
 
 def test_read_labeled_text_space_delimited(tmp_path):
     # "label sentence ..." files use the first whitespace field as the label
     p = tmp_path / "data.txt"
     p.write_text("1 a powerful film\n0 lifeless and dull\n")
-    ds = read_labeled_text(p, delimiter=" ", label_field=0)
-    assert ds.examples[0] == Example("1", ("a", "powerful", "film"))
-    assert ds.examples[1].label == "0"
+    assert list(text_tokens(p, delimiter=" ", label_field=0)) == [
+        "a", "powerful", "film", "lifeless", "and", "dull"
+    ]
 
 
 def test_read_labeled_text_label_field_errors(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("only-one-field\n")
     with pytest.raises(DataError, match="bad.tsv:1"):
-        read_labeled_text(p, label_field=1)
+        list(text_tokens(p, label_field=1))
     p.write_text("lab\t\n")
     with pytest.raises(DataError, match="no text tokens"):
-        read_labeled_text(p)
+        list(text_tokens(p))
     p.write_text("\tsome text\n")
     with pytest.raises(DataError, match="empty label"):
-        read_labeled_text(p)
+        list(text_tokens(p))
+    p.write_text("\n \n")
+    with pytest.raises(DataError, match="bad.tsv: no examples"):
+        list(text_tokens(p))
 
 
 def test_read_labeled_text_negative_field(tmp_path):
     p = tmp_path / "rev.tsv"
     p.write_text("the movie\tpos\n")
-    ds = read_labeled_text(p, label_field=-1)
-    assert ds.examples[0] == Example("pos", ("the", "movie"))
+    assert list(text_tokens(p, label_field=-1)) == ["the", "movie"]
 
 
 def test_dataset_validation():
@@ -149,20 +160,22 @@ def test_dataset_validation():
         TokenDataset((Sentence((), ()),))
     with pytest.raises(ValueError):
         TokenDataset((), split="nope")
-    with pytest.raises(ValueError):
-        TextDataset((Example("l", ()),))
 
 
 def test_vocab_counts_exact_and_lowercase():
-    ds = TokenDataset((Sentence(("The", "the", "cat"), ("O", "O", "O")),))
-    exact = vocab_counts(ds, "exact")
+    tokens = ["The", "the", "cat"]
+    exact = vocab_counts(tokens, "exact")
     assert exact.counts == {"The": 1, "the": 1, "cat": 1}
     assert exact.total_tokens == 3
-    low = vocab_counts(ds, "lowercase")
+    low = vocab_counts(tokens, "lowercase")
     assert low.counts == {"the": 2, "cat": 1}
     assert low.total_tokens == 3
     with pytest.raises(ValueError):
-        vocab_counts(ds, "stem")
+        vocab_counts(tokens, "stem")
+    with pytest.raises(ValueError):
+        vocab_counts(tokens, split="nope")
+    with pytest.raises(DataError, match="no tokens"):
+        vocab_counts([])
 
 
 def test_top_n_types_ordering():
@@ -242,3 +255,106 @@ def test_conll_round_trip_property(tmp_path_factory, sents):
     p = tmp_path_factory.mktemp("conll") / "rt.conll"
     write_conll(ds, p)
     assert read_conll(p).sentences == ds.sentences
+
+
+# the pieces of the token readers' parity inputs: separators (blank,
+# whitespace-only and -DOCSTART- lines), fields that differ only in case,
+# and fields a label check rejects
+_FIELDS = ["EU", "eu", "The", "the", "B-ORG", "O", "caf\u00e9", "-DOCSTART-", "-X-"]
+_SEPARATORS = ["", " ", "\t \t", "-DOCSTART- -X- O", "  -DOCSTART-"]
+
+
+def _write_lines(path, lines, newline, final):
+    path.write_bytes((newline.join(lines) + (newline if final else "")).encode("utf-8"))
+
+
+def _counted(tokens, normalization):
+    """The counts of a token stream, or the message of the first error."""
+    try:
+        return vocab_counts(tokens, normalization).counts
+    except DataError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.sampled_from(_SEPARATORS),
+            st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=4).map(" ".join),
+            st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=4).map("\t".join),
+        ),
+        max_size=12,
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    token_column=st.sampled_from([0, 1, -1, -2]),
+    label_column=st.sampled_from([-1, 1, 2, -3]),
+    normalization=st.sampled_from(["exact", "lowercase"]),
+)
+def test_conll_tokens_count_what_read_conll_reads(
+    tmp_path_factory, lines, newline, final, token_column, label_column, normalization
+):
+    p = tmp_path_factory.mktemp("parity") / "c.conll"
+    _write_lines(p, lines, newline, final)
+    try:
+        ds = read_conll(p, token_column=token_column, label_column=label_column)
+    except DataError as e:
+        want = str(e)
+    else:
+        fold = str.lower if normalization == "lowercase" else str
+        want = dict(Counter(fold(t) for sent in ds.sentences for t in sent.tokens))
+    got = _counted(conll_tokens(p, token_column=token_column, label_column=label_column),
+                   normalization)
+    assert got == want
+
+
+def _text_reference(path, text, delimiter, label_field):
+    """The tokens of a labeled-text file, split line by line from its whole
+    text, or the message the readers give for its first bad line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    tokens = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        fields = line.split(delimiter)
+        if not -len(fields) <= label_field < len(fields):
+            return (f"{path}:{lineno}: label field {label_field} out of range "
+                    f"for {len(fields)}-field line")
+        if not fields[label_field].strip():
+            return f"{path}:{lineno}: empty label"
+        rest = [f for i, f in enumerate(fields) if i != label_field % len(fields)]
+        if not " ".join(rest).split():
+            return f"{path}:{lineno}: no text tokens"
+        tokens += " ".join(rest).split()
+    return tokens or f"{path}: no examples"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(["\t", " ", "  "]), st.sampled_from(_FIELDS + ["", " "])),
+            max_size=4,
+        ).map(lambda parts: "".join(sep + field for sep, field in parts)[1:]),
+        max_size=8,
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    delimiter=st.sampled_from(["\t", " "]),
+    label_field=st.sampled_from([0, 1, -1, -2]),
+    normalization=st.sampled_from(["exact", "lowercase"]),
+)
+def test_text_tokens_count_what_a_line_split_reads(
+    tmp_path_factory, lines, newline, final, delimiter, label_field, normalization
+):
+    p = tmp_path_factory.mktemp("parity") / "t.tsv"
+    _write_lines(p, lines, newline, final)
+    want = _text_reference(p, p.read_bytes().decode("utf-8"), delimiter, label_field)
+    if not isinstance(want, str):
+        fold = str.lower if normalization == "lowercase" else str
+        want = dict(Counter(map(fold, want)))
+    got = _counted(text_tokens(p, delimiter=delimiter, label_field=label_field), normalization)
+    assert got == want

@@ -91,24 +91,51 @@ def test_ab_bench_summary_of_canned_result_lines():
         metrics = {"wall_s": {"value": wall, "unit": "s"}, "rows_per_s": {"value": rows, "unit": "1/s"}}
         return json.dumps({"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics})
 
-    parent = [line(w, 100.0) for w in (1.10, 1.20, 1.15, 1.30, 1.12, 1.18, 1.25, 1.14, 1.16, 1.22)]
+    def summarize(parent, change, bound=0.25):
+        spec = {"wall_s": {"better": "lower", "bound": bound},
+                "rows_per_s": {"better": "higher", "bound": bound}}
+        pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, change)]
+        return {r["metric"]: r for r in ab.summarize(pairs, spec)}, ab.report(pairs, spec)
+
+    walls = (1.10, 1.20, 1.15, 1.30, 1.12, 1.18, 1.25, 1.14, 1.16, 1.22)
+    parent = [line(w, 100.0) for w in walls]
     change = [line(w, r) for w, r in zip(
         (1.00, 1.05, 1.02, 1.20, 1.01, 1.21, 1.10, 1.00, 1.03, 1.08), [100.0] * 9 + [101.0])]
     change[3] = line(1.20, 100.0, correct=False, failed=1)
-    pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, change)]
-    rows = {r["metric"]: r for r in ab.summarize(pairs, {"wall_s": "lower", "rows_per_s": "higher"})}
+    rows, text = summarize(parent, change)
     wall = rows["wall_s"]
-    assert wall["wins"] == 9 and wall["pairs"] == 10 and wall["gain"]
+    assert wall["wins"] == 9 and wall["pairs"] == 10
+    # nine wins of ten, but the change failed an operation the parent did not
+    assert not wall["gain"]
     assert wall["parent"][0] == pytest.approx(1.17) and wall["change"][0] == pytest.approx(1.04)
     assert wall["parent"][1:] == pytest.approx((1.1425, 1.215))
+    # better by less than the bound, the parent's quartiles inside it
+    assert wall["verdict"] == "ok"
     # ties count for neither side
     assert rows["rows_per_s"]["wins"] == 1 and not rows["rows_per_s"]["gain"]
-    text = ab.report(pairs, {"wall_s": "lower", "rows_per_s": "higher"})
+    assert rows["rows_per_s"]["verdict"] == "ok"
     assert "change: 1 of 10 runs not correct, 1 of 40 operations failed" in text
     assert "parent: 0 of 10 runs not correct, 0 of 40 operations failed" in text
+    # the same times without the failure meet the gain rule
+    change[3] = line(1.20, 100.0)
+    assert summarize(parent, change)[0]["wall_s"]["gain"]
+    # nine wins of nine are too few pairs
+    nine = [i for i in range(10) if i != 5]
+    short = summarize([parent[i] for i in nine], [change[i] for i in nine])[0]["wall_s"]
+    assert short["wins"] == short["pairs"] == 9 and not short["gain"]
     # nine wins of ten, but the medians closer than the parent's quartiles
-    close = [line(json.loads(p)["metrics"]["wall_s"]["value"] - 0.01, 100.0) for p in parent]
+    close = [line(w - 0.01, 100.0) for w in walls]
     close[0] = line(1.11, 100.0)
-    pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, close)]
-    (row, _) = ab.summarize(pairs, {"wall_s": "lower", "rows_per_s": "higher"})
+    row = summarize(parent, close)[0]["wall_s"]
     assert row["wins"] == 9 and not row["gain"]
+    # a median worse than the parent's by more than the bound
+    slow = [line(w * 1.3, 100.0) for w in walls]
+    assert summarize(parent, slow)[0]["wall_s"]["verdict"] == "worse"
+    assert summarize(parent, slow, bound=0.35)[0]["wall_s"]["verdict"] == "ok"
+    # the parent's quartiles wider than a 5% bound: no verdict either way,
+    # unless every change run beats every parent run
+    rows, text = summarize(parent, change, bound=0.05)
+    assert rows["wall_s"]["verdict"] == "unresolved" and "unresolved" in text
+    fast = [line(w - 0.25, 100.0) for w in walls]
+    assert summarize(parent, fast, bound=0.05)[0]["wall_s"]["verdict"] == "ok"
+    assert summarize(parent, slow, bound=0.05)[0]["wall_s"]["verdict"] == "worse"
