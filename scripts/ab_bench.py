@@ -20,8 +20,11 @@ the change was better (ties count for neither side), and two rulings:
 - no-regression verdict, with the metric's BENCHMARK.json bound taken
   relative to the parent's median: "worse" when the change's median is
   worse than the parent's by more than the bound; else "unresolved" when
-  the parent's interquartile range is wider than the bound, unless every
-  change run beats every parent run; else "ok".
+  the interquartile range of the per-pair differences (change minus
+  parent) is wider than the bound, unless every change run beats every
+  parent run; else "ok". Both runs of a pair share a seed, and so its
+  inputs, while each seed generates inputs of a different size: the
+  parent's spread across seeds is not run-to-run noise.
 """
 
 import argparse
@@ -85,10 +88,11 @@ def summarize(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> list[dic
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         p_q1, p_q3 = _quartiles(parent)
+        d_q1, d_q3 = _quartiles([c - p for p, c in zip(parent, change)])
         bound = spec[name]["bound"] * abs(p_med)
         if sign * (c_med - p_med) < -bound:
             verdict = "worse"
-        elif p_q3 - p_q1 > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
+        elif d_q3 - d_q1 > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
             verdict = "unresolved"
         else:
             verdict = "ok"

@@ -22,10 +22,8 @@ from .combine import (
     recommend,
 )
 from .corpus import (
-    TokenDataset,
     VocabCounts,
     conll_tokens,
-    read_conll,
     text_tokens,
     top_n_types,
     vocab_counts,
@@ -63,7 +61,6 @@ __all__ = [
     "RandomBackfill",
     "ScoreReport",
     "SimilarityReport",
-    "TokenDataset",
     "VocabCounts",
     "bio_to_iobes",
     "combine",
@@ -79,7 +76,6 @@ __all__ = [
     "model_vocab",
     "pair_report",
     "random_vectors",
-    "read_conll",
     "read_embeddings",
     "recommend",
     "text_tokens",

@@ -31,7 +31,6 @@ from .corpus import (
     SPLITS,
     conll_blocks,
     conll_tokens,
-    read_conll,
     text_tokens,
     top_n_types,
     vocab_counts,
@@ -315,24 +314,32 @@ def _cmd_recommend(args):
     }
 
 
+def _scored_sentences(path, label_column: int):
+    """Each sentence of a CoNLL file as its "file:line", tokens and labels."""
+    sentences = [
+        (f"{path}:{block[0][0]}", [f[0] for _, f in block], [f[label_column] for _, f in block])
+        for block in conll_blocks(path, {"token": 0, "label": label_column})
+        if isinstance(block, list)
+    ]
+    if not sentences:
+        raise DataError(f"{path}: no sentences")
+    return sentences
+
+
 def _cmd_score(args):
-    gold = read_conll(args.gold, label_column=args.label_column)
-    pred = read_conll(args.pred, label_column=args.label_column)
-    gold_at = [f"{args.gold}:{line}" for line in gold.lines]
-    pred_at = [f"{args.pred}:{line}" for line in pred.lines]
+    gold = _scored_sentences(args.gold, args.label_column)
+    pred = _scored_sentences(args.pred, args.label_column)
     if len(gold) != len(pred):
         n = min(len(gold), len(pred))
-        unpaired = gold_at[n] if len(gold) > n else pred_at[n]
+        unpaired = gold[n][0] if len(gold) > n else pred[n][0]
         raise DataError(
             f"{unpaired}: no partner; {len(gold)} gold sentences but {len(pred)} predicted"
         )
-    for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
-        if g.tokens != p.tokens:
-            raise DataError(
-                f"{pred_at[si]}: gold and pred token sequences differ (gold {gold_at[si]})"
-            )
-    gold_tags = [list(s.labels) for s in gold.sentences]
-    pred_tags = [list(s.labels) for s in pred.sentences]
+    for (g_at, g_tokens, _), (p_at, p_tokens, _) in zip(gold, pred):
+        if g_tokens != p_tokens:
+            raise DataError(f"{p_at}: gold and pred token sequences differ (gold {g_at})")
+    gold_at, _, gold_tags = zip(*gold)
+    pred_at, _, pred_tags = zip(*pred)
     result = entity_prf(gold_tags, pred_tags, mode=args.mode, where=(gold_at, pred_at))
     report = asdict(result)
     report["manifest"] = build_manifest(args, {"gold": args.gold, "pred": args.pred})

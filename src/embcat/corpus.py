@@ -6,15 +6,14 @@ column files (one token per line, blank line between sentences) and
 `text_tokens` reads labeled text (one example per line). `vocab_counts`
 counts any token stream, so a corpus is counted as it is read and no
 dataset of it is built. `conll_blocks` is the one reader of CoNLL files,
-behind `conll_tokens`, `convert-tags` and `read_conll`, which keeps the
-sentences that `score` aligns.
+behind `conll_tokens` and the sentences that `convert-tags` rewrites and
+`score` aligns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import DataError, utf8_input
 
@@ -26,40 +25,6 @@ NORMALIZATIONS = ("exact", "lowercase")
 def _check_split(split: str):
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-
-
-class Sentence(NamedTuple):
-    tokens: tuple[str, ...]
-    labels: tuple[str, ...]
-
-
-@dataclass
-class TokenDataset:
-    """Sentences of aligned (token, label) pairs from a column file.
-    `lines` holds each sentence's first line number in that file, when
-    known, for error messages."""
-
-    sentences: tuple[Sentence, ...]
-    split: str = "other"
-    lines: tuple[int, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        _check_split(self.split)
-        self.sentences = tuple(self.sentences)
-        for i, sent in enumerate(self.sentences):
-            if len(sent.tokens) != len(sent.labels):
-                raise ValueError(
-                    f"sentence {i}: {len(sent.tokens)} tokens but {len(sent.labels)} labels"
-                )
-            if not sent.tokens:
-                raise ValueError(f"sentence {i} is empty")
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    @property
-    def n_tokens(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
 
 
 @dataclass
@@ -115,28 +80,6 @@ def conll_blocks(path, columns: dict[str, int]):
                 block.append((lineno, fields))
     if block:
         yield block
-
-
-def read_conll(
-    path,
-    *,
-    token_column: int = 0,
-    label_column: int = -1,
-    split: str = "other",
-) -> TokenDataset:
-    """Read a CoNLL-style column file into its sentences (`conll_blocks`);
-    document markers and their sentence breaks are skipped."""
-    sentences = []
-    lines = []
-    for block in conll_blocks(path, {"token": token_column, "label": label_column}):
-        if isinstance(block, list):
-            tokens = tuple([fields[token_column] for _, fields in block])
-            labels = tuple([fields[label_column] for _, fields in block])
-            sentences.append(Sentence(tokens, labels))
-            lines.append(block[0][0])
-    if not sentences:
-        raise DataError(f"{path}: no sentences")
-    return TokenDataset(tuple(sentences), split=split, lines=tuple(lines))
 
 
 def conll_tokens(path, *, token_column: int = 0, label_column: int = -1):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embcat.corpus import TokenDataset, VocabCounts
+from embcat.corpus import VocabCounts
 from embcat.embio import (
     _MAX_TOKEN_BYTES,
     EmbeddingTable,
@@ -268,20 +268,18 @@ def merge_counts(parts: list[VocabCounts], split: str = "other") -> VocabCounts:
     return VocabCounts(dict(total), normalization=parts[0].normalization, split=split)
 
 
-def write_conll(dataset: TokenDataset, path) -> None:
-    """Two-column token/label file that read_conll parses back verbatim."""
-    for i, sent in enumerate(dataset.sentences):
-        for tok, lab in zip(sent.tokens, sent.labels):
-            for v in (tok, lab):
-                if not v or v.split() != [v]:
-                    raise DataError(
-                        f"sentence {i}: value {v!r} cannot be written to a column file"
-                    )
+def write_conll(sentences: list[tuple[list[str], list[str]]], path) -> None:
+    """Two-column token/label file of (tokens, labels) sentences, which
+    conll_blocks reads back verbatim."""
+    for i, (tokens, labels) in enumerate(sentences):
+        for v in (*tokens, *labels):
+            if not v or v.split() != [v]:
+                raise DataError(f"sentence {i}: value {v!r} cannot be written to a column file")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for k, sent in enumerate(dataset.sentences):
+        for k, (tokens, labels) in enumerate(sentences):
             if k:
                 f.write("\n")
-            for tok, lab in zip(sent.tokens, sent.labels):
+            for tok, lab in zip(tokens, labels):
                 f.write(f"{tok} {lab}\n")
 
 

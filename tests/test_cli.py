@@ -12,7 +12,6 @@ import pytest
 from conftest import make_table, oracle_vector
 from embcat import __version__, analysis, cli
 from embcat.cli import main
-from embcat.corpus import TokenDataset
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
 
@@ -808,8 +807,7 @@ def test_cli_holds_one_table_at_a_time(
     "subcommand", ["combine", "similarity", "pair-report", "recommend", "coverage"]
 )
 def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcommand, kind):
-    # no dataset object is built behind a count, and every corpus is
-    # counted in full before the first table is read
+    # every corpus is counted in full before the first table is read
     n_tables = 1 if subcommand == "coverage" else 2
     emb, _ = _table_args(tmp_path, subcommand, n_tables)
     corpus = tmp_path / "corpus"
@@ -823,14 +821,6 @@ def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcomma
         data = ["--data", str(corpus)]
     else:
         data = ["--train", str(corpus), "--dev", str(corpus), "--k", "2"]
-    built = []
-    post_init = TokenDataset.__post_init__
-
-    def spy(self):
-        built.append(len(self))
-        post_init(self)
-
-    monkeypatch.setattr(TokenDataset, "__post_init__", spy)
     counted = []
     count = cli.vocab_counts
 
@@ -851,13 +841,7 @@ def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcomma
     code, _, err = run(capsys, subcommand, *emb, *data, "--data-kind", kind)
     assert code == 0, err
     n_corpora = 1 if subcommand in ("similarity", "coverage") else 2
-    assert built == []
     assert counted_at_read == [[5] * n_corpora] * n_tables
-    # `score` aligns sentences, so it still reads each file into a dataset
-    gold = tmp_path / "gold.conll"
-    gold.write_text(CONLL)
-    code, _, err = run(capsys, "score", "--gold", str(gold), "--pred", str(gold))
-    assert code == 0 and built == [2, 2], err
 
 
 @pytest.mark.parametrize(
@@ -1017,6 +1001,33 @@ def test_score_sentence_count_mismatch_names_file_and_line(capsys, tmp_path, lon
     assert code == 1
     want = f"{files[longer]}:4: no partner; {counts[0]} gold sentences but {counts[1]} predicted"
     assert err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "gold_text, pred_text, extra, want",
+    [
+        ("Mary B-PER\n\nParis\n", "", ["--label-column", "1"],
+         "{gold}:3: label column 1 out of range for 1-field line 'Paris'"),
+        ("\n-DOCSTART- O\n\n", "", [], "{gold}: no sentences"),
+        ("Mary B-PER\n\nParis B-LOC\n", "John B-PER\n", [],
+         "{gold}:3: no partner; 2 gold sentences but 1 predicted"),
+        ("Mary X-PER\n\nParis B-LOC\n", "Mary B-PER\n\nRome B-LOC\n", [],
+         "{pred}:3: gold and pred token sequences differ (gold {gold}:3)"),
+    ],
+    ids=["gold-line-before-pred", "gold-empty-before-pred", "count-before-tokens",
+         "tokens-before-tags"],
+)
+def test_score_error_order(capsys, tmp_path, gold_text, pred_text, extra, want):
+    # gold is read in full before pred; the sentence count is checked before
+    # the tokens of any sentence, and the tokens before any tag
+    files = {name: tmp_path / f"{name}.conll" for name in ("gold", "pred")}
+    files["gold"].write_text(gold_text)
+    files["pred"].write_text(pred_text)
+    code, _, err = run(
+        capsys, "score", "--gold", str(files["gold"]), "--pred", str(files["pred"]), *extra
+    )
+    assert code == 1
+    assert err == f"error: {want.format(**files)}\n"
 
 
 def test_manifest_records_a_format_option_by_name(capsys, tmp_path):

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import merge_counts, write_conll
 from embcat.corpus import (
-    Sentence,
-    TokenDataset,
     VocabCounts,
     conll_blocks,
     conll_tokens,
-    read_conll,
     text_tokens,
     top_n_types,
     vocab_counts,
@@ -30,25 +27,30 @@ Blackburn NNP I-NP I-PER
 """
 
 
+def _sentences(path, token_column=0, label_column=-1):
+    """The (tokens, labels) of each sentence `conll_blocks` yields."""
+    return [
+        ([f[token_column] for _, f in block], [f[label_column] for _, f in block])
+        for block in conll_blocks(path, {"token": token_column, "label": label_column})
+        if isinstance(block, list)
+    ]
+
+
 def test_read_conll(tmp_path):
     p = tmp_path / "train.conll"
     p.write_text(CONLL)
-    ds = read_conll(p, split="train")
-    assert len(ds) == 2
-    assert ds.sentences[0].tokens == ("EU", "rejects", "German", "call")
-    assert ds.sentences[0].labels == ("B-ORG", "O", "B-MISC", "O")
-    assert ds.sentences[1].labels == ("B-PER", "I-PER")
-    assert ds.n_tokens == 6
-    assert ds.split == "train"
+    assert _sentences(p) == [
+        (["EU", "rejects", "German", "call"], ["B-ORG", "O", "B-MISC", "O"]),
+        (["Peter", "Blackburn"], ["B-PER", "I-PER"]),
+    ]
     assert list(conll_tokens(p)) == ["EU", "rejects", "German", "call", "Peter", "Blackburn"]
 
 
 def test_read_conll_column_selection(tmp_path):
     p = tmp_path / "cols.conll"
     p.write_text(CONLL)
-    ds = read_conll(p, token_column=1, label_column=2)
-    assert ds.sentences[0].tokens[0] == "NNP"
-    assert ds.sentences[0].labels[0] == "B-NP"
+    tokens, labels = _sentences(p, token_column=1, label_column=2)[0]
+    assert tokens[0] == "NNP" and labels[0] == "B-NP"
     assert list(conll_tokens(p, token_column=1, label_column=2))[:2] == ["NNP", "VBZ"]
 
 
@@ -56,11 +58,9 @@ def test_read_conll_column_out_of_range(tmp_path):
     p = tmp_path / "bad.conll"
     p.write_text("tok O\n")
     with pytest.raises(DataError, match="bad.conll:1"):
-        read_conll(p, label_column=5)
-    with pytest.raises(DataError):
-        read_conll(p, token_column=-3)
-    with pytest.raises(DataError, match="bad.conll:1"):
         list(conll_tokens(p, label_column=5))
+    with pytest.raises(DataError):
+        list(conll_tokens(p, token_column=-3))
 
 
 def test_conll_blocks_yields_sentences_and_separators(tmp_path):
@@ -88,8 +88,8 @@ def test_conll_blocks_names_the_first_missing_column(tmp_path):
 
 @pytest.mark.parametrize(
     "reader",
-    [read_conll, lambda p: list(conll_tokens(p)), lambda p: list(text_tokens(p))],
-    ids=["read_conll", "conll_tokens", "text_tokens"],
+    [lambda p: list(conll_tokens(p)), lambda p: list(text_tokens(p))],
+    ids=["conll_tokens", "text_tokens"],
 )
 def test_read_not_utf8_names_line(tmp_path, reader):
     p = tmp_path / "latin1.txt"
@@ -101,8 +101,6 @@ def test_read_not_utf8_names_line(tmp_path, reader):
 def test_read_conll_empty(tmp_path):
     p = tmp_path / "empty.conll"
     p.write_text("\n\n")
-    with pytest.raises(DataError, match="no sentences"):
-        read_conll(p)
     with pytest.raises(DataError, match="empty.conll: no sentences"):
         list(conll_tokens(p))
 
@@ -110,8 +108,8 @@ def test_read_conll_empty(tmp_path):
 def test_read_conll_no_trailing_blank(tmp_path):
     p = tmp_path / "t.conll"
     p.write_text("a O\nb O")
-    ds = read_conll(p)
-    assert len(ds) == 1 and ds.sentences[0].tokens == ("a", "b")
+    assert _sentences(p) == [(["a", "b"], ["O", "O"])]
+    assert list(conll_tokens(p)) == ["a", "b"]
 
 
 def test_read_labeled_text_tab(tmp_path):
@@ -151,15 +149,6 @@ def test_read_labeled_text_negative_field(tmp_path):
     p = tmp_path / "rev.tsv"
     p.write_text("the movie\tpos\n")
     assert list(text_tokens(p, label_field=-1)) == ["the", "movie"]
-
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        TokenDataset((Sentence(("a",), ("O", "O")),))
-    with pytest.raises(ValueError):
-        TokenDataset((Sentence((), ()),))
-    with pytest.raises(ValueError):
-        TokenDataset((), split="nope")
 
 
 def test_vocab_counts_exact_and_lowercase():
@@ -214,23 +203,15 @@ def test_merge_counts():
 
 
 def test_write_conll_round_trip(tmp_path):
-    ds = TokenDataset(
-        (
-            Sentence(("EU", "rejects"), ("B-ORG", "O")),
-            Sentence(("Peter",), ("B-PER",)),
-        ),
-        split="dev",
-    )
+    sentences = [(["EU", "rejects"], ["B-ORG", "O"]), (["Peter"], ["B-PER"])]
     p = tmp_path / "out.conll"
-    write_conll(ds, p)
-    back = read_conll(p, split="dev")
-    assert back.sentences == ds.sentences
+    write_conll(sentences, p)
+    assert _sentences(p) == sentences
 
 
 def test_write_conll_rejects_whitespace(tmp_path):
-    ds = TokenDataset((Sentence(("a b",), ("O",)),))
     with pytest.raises(DataError):
-        write_conll(ds, tmp_path / "x")
+        write_conll([(["a b"], ["O"])], tmp_path / "x")
 
 
 conll_token_st = st.text(
@@ -249,12 +230,10 @@ conll_token_st = st.text(
     )
 )
 def test_conll_round_trip_property(tmp_path_factory, sents):
-    ds = TokenDataset(
-        tuple(Sentence(tuple(t for t, _ in s), tuple(l for _, l in s)) for s in sents)
-    )
+    sentences = [([t for t, _ in s], [l for _, l in s]) for s in sents]
     p = tmp_path_factory.mktemp("conll") / "rt.conll"
-    write_conll(ds, p)
-    assert read_conll(p).sentences == ds.sentences
+    write_conll(sentences, p)
+    assert _sentences(p) == sentences
 
 
 # the pieces of the token readers' parity inputs: separators (blank,
@@ -268,12 +247,37 @@ def _write_lines(path, lines, newline, final):
     path.write_bytes((newline.join(lines) + (newline if final else "")).encode("utf-8"))
 
 
+def _lines(text):
+    """A file's whole text split into its lines, without their newlines."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    return lines
+
+
 def _counted(tokens, normalization):
     """The counts of a token stream, or the message of the first error."""
     try:
         return vocab_counts(tokens, normalization).counts
     except DataError as e:
         return str(e)
+
+
+def _conll_reference(path, text, token_column, label_column):
+    """The tokens of a CoNLL file, split line by line from its whole text,
+    or the message the readers give for its first bad line."""
+    tokens = []
+    for lineno, line in enumerate(_lines(text), 1):
+        fields = line.split()
+        if not fields or fields[0] == "-DOCSTART-":
+            continue
+        n = len(fields)
+        for which, col in (("token", token_column), ("label", label_column)):
+            if not -n <= col < n:
+                return (f"{path}:{lineno}: {which} column {col} out of range "
+                        f"for {n}-field line {line.strip()!r}")
+        tokens.append(fields[token_column])
+    return tokens or f"{path}: no sentences"
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,18 +296,15 @@ def _counted(tokens, normalization):
     label_column=st.sampled_from([-1, 1, 2, -3]),
     normalization=st.sampled_from(["exact", "lowercase"]),
 )
-def test_conll_tokens_count_what_read_conll_reads(
+def test_conll_tokens_count_what_a_line_split_reads(
     tmp_path_factory, lines, newline, final, token_column, label_column, normalization
 ):
     p = tmp_path_factory.mktemp("parity") / "c.conll"
     _write_lines(p, lines, newline, final)
-    try:
-        ds = read_conll(p, token_column=token_column, label_column=label_column)
-    except DataError as e:
-        want = str(e)
-    else:
+    want = _conll_reference(p, p.read_bytes().decode("utf-8"), token_column, label_column)
+    if not isinstance(want, str):
         fold = str.lower if normalization == "lowercase" else str
-        want = dict(Counter(fold(t) for sent in ds.sentences for t in sent.tokens))
+        want = dict(Counter(map(fold, want)))
     got = _counted(conll_tokens(p, token_column=token_column, label_column=label_column),
                    normalization)
     assert got == want
@@ -312,11 +313,8 @@ def test_conll_tokens_count_what_read_conll_reads(
 def _text_reference(path, text, delimiter, label_field):
     """The tokens of a labeled-text file, split line by line from its whole
     text, or the message the readers give for its first bad line."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last line
     tokens = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_lines(text), 1):
         if not line.strip():
             continue
         fields = line.split(delimiter)

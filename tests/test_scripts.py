@@ -81,21 +81,25 @@ def _load(name):
     return script
 
 
+def line(wall, rows, correct=True, failed=0):
+    """The last stdout line of a bench/run.py run."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "rows_per_s": {"value": rows, "unit": "1/s"}}
+    return json.dumps({"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics})
+
+
+def summarize(parent, change, bound=0.25):
+    """scripts/ab_bench.py's summary rows by metric, and its report."""
+    ab = _load("ab_bench")
+    spec = {"wall_s": {"better": "lower", "bound": bound},
+            "rows_per_s": {"better": "higher", "bound": bound}}
+    pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, change)]
+    return {r["metric"]: r for r in ab.summarize(pairs, spec)}, ab.report(pairs, spec)
+
+
 def test_ab_bench_summary_of_canned_result_lines():
     ab = _load("ab_bench")
     assert ab.parse_seeds("9301-9304") == [9301, 9302, 9303, 9304]
     assert ab.parse_seeds("7") == [7]
-
-    def line(wall, rows, correct=True, failed=0):
-        # the last stdout line of a bench/run.py run
-        metrics = {"wall_s": {"value": wall, "unit": "s"}, "rows_per_s": {"value": rows, "unit": "1/s"}}
-        return json.dumps({"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics})
-
-    def summarize(parent, change, bound=0.25):
-        spec = {"wall_s": {"better": "lower", "bound": bound},
-                "rows_per_s": {"better": "higher", "bound": bound}}
-        pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, change)]
-        return {r["metric"]: r for r in ab.summarize(pairs, spec)}, ab.report(pairs, spec)
 
     walls = (1.10, 1.20, 1.15, 1.30, 1.12, 1.18, 1.25, 1.14, 1.16, 1.22)
     parent = [line(w, 100.0) for w in walls]
@@ -132,10 +136,23 @@ def test_ab_bench_summary_of_canned_result_lines():
     slow = [line(w * 1.3, 100.0) for w in walls]
     assert summarize(parent, slow)[0]["wall_s"]["verdict"] == "worse"
     assert summarize(parent, slow, bound=0.35)[0]["wall_s"]["verdict"] == "ok"
-    # the parent's quartiles wider than a 5% bound: no verdict either way,
-    # unless every change run beats every parent run
-    rows, text = summarize(parent, change, bound=0.05)
+    # the pairs' differences spread wider than a 5% bound: no verdict either
+    # way, unless every change run beats every parent run
+    scattered = [line(w + (0.08 if i % 2 else -0.08), 100.0) for i, w in enumerate(walls)]
+    rows, text = summarize(parent, scattered, bound=0.05)
     assert rows["wall_s"]["verdict"] == "unresolved" and "unresolved" in text
-    fast = [line(w - 0.25, 100.0) for w in walls]
+    fast = [line(w - (0.35 if i % 2 else 0.25), 100.0) for i, w in enumerate(walls)]
     assert summarize(parent, fast, bound=0.05)[0]["wall_s"]["verdict"] == "ok"
     assert summarize(parent, slow, bound=0.05)[0]["wall_s"]["verdict"] == "worse"
+
+
+def test_ab_bench_takes_the_spread_within_pairs():
+    # each seed generates inputs of its own size, so the parent's runs
+    # spread about 30% across seeds while each change run is within 0.1%
+    # of the parent's run on its seed: the spread is the pairs' own
+    walls = (1.00, 1.30, 0.90, 1.20, 1.05, 1.25, 0.95, 1.15, 1.10, 1.28)
+    parent = [line(w, 100.0) for w in walls]
+    change = [line(w * (1.0008 if i % 2 else 0.9993), 100.0) for i, w in enumerate(walls)]
+    row = summarize(parent, change, bound=0.1)[0]["wall_s"]
+    assert row["parent"][2] - row["parent"][1] > 0.1 * row["parent"][0]
+    assert row["verdict"] == "ok" and not row["gain"]
