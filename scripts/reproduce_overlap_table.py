@@ -52,8 +52,8 @@ def main(argv=None):
 
     t0 = time.monotonic()
     print("reading tables")
-    train = vocab_counts(conll_tokens(args.data / "conll2003" / "train.txt"), "lowercase", "train")
-    dev = vocab_counts(conll_tokens(args.data / "conll2003" / "valid.txt"), "lowercase", "dev")
+    train = vocab_counts(conll_tokens(args.data / "conll2003" / "train.txt"), "lowercase")
+    dev = vocab_counts(conll_tokens(args.data / "conll2003" / "valid.txt"), "lowercase")
     print(f"  train: {len(train.counts)} types / {train.total_tokens} tokens")
     print(f"  dev:   {len(dev.counts)} types / {dev.total_tokens} tokens")
     # one pass: each table is read, covered and searched once, over both

@@ -22,6 +22,7 @@ table at a time (`table_sides`); `embedding_similarity` holds both, as a
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -93,7 +94,6 @@ class SimilarityReport:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    split: str
     unique_types: int
     attested_types: int
     attested_pct: float
@@ -290,16 +290,20 @@ def _batch_topk(
             tops.append(sorted(pairs, key=lambda p: (-p[1], p[0]))[:k])
 
     results = []
+    fills = {}  # by whether the query is nonzero: its -inf candidates, built once
     finite_tops = iter(tops)
     for row, has_norm in zip(q_rows.tolist(), nonzero.tolist()):
         top = next(finite_tops) if has_norm else []
         if len(top) < k:
-            # too few finite candidates: fill with -inf rows in token order
-            tail = np.ones(n, dtype=bool) if row_mask is None else row_mask.copy()
-            if has_norm:
-                tail &= ~table.vectors.any(axis=1)
-            tail[row] = False
-            fill = sorted(words[i] for i in np.flatnonzero(tail))[: k - len(top)]
+            # too few finite candidates: fill with -inf rows in token order,
+            # the zero rows for a nonzero query and every row for a zero one,
+            # whose own row is among the first k + 1 at most
+            if has_norm not in fills:
+                tail = np.ones(n, dtype=bool) if row_mask is None else row_mask.copy()
+                if has_norm:
+                    tail &= ~table.vectors.any(axis=1)
+                fills[has_norm] = heapq.nsmallest(k + 1, [words[i] for i in np.flatnonzero(tail)])
+            fill = [w for w in fills[has_norm] if w != words[row]][: k - len(top)]
             top += [(w, -np.inf) for w in fill]
         results.append(top)
     return results
@@ -430,7 +434,6 @@ def coverage(
     covered_tokens = sum(itertools.compress(counts.counts.values(), hit))
     attested = int(hit.sum())
     return CoverageReport(
-        split=counts.split,
         unique_types=len(counts.counts),
         attested_types=attested,
         attested_pct=100.0 * attested / len(counts.counts),

@@ -27,14 +27,7 @@ from .combine import (
     with_special_tokens,
     zero_token_row,
 )
-from .corpus import (
-    SPLITS,
-    conll_blocks,
-    conll_tokens,
-    text_tokens,
-    top_n_types,
-    vocab_counts,
-)
+from .corpus import conll_blocks, conll_tokens, text_tokens, top_n_types, vocab_counts
 from .embio import (
     Format,
     RandomBackfill,
@@ -46,6 +39,9 @@ from .embio import (
 from .errors import DataError
 from .manifest import build_manifest
 from .tagschemes import bio_to_iobes, entity_prf, iob1_to_bio
+
+# the roles a corpus can play, named by --split, --splits and "split=path"
+SPLITS = ("train", "dev", "test", "other")
 
 _FORMAT_ALIASES = {
     "glove": Format.GLOVE_TEXT,
@@ -64,7 +60,7 @@ def _parse_emb_arg(value: str) -> tuple[str | None, str]:
 
 
 def _parse_data_arg(value: str) -> tuple[str, str]:
-    """"split=path" tags the dataset with a split; bare paths are "other"."""
+    """"split=path" names the corpus's split; a bare path is "other"."""
     if "=" in value:
         split, path = value.split("=", 1)
         if split in SPLITS:
@@ -84,10 +80,10 @@ def _load_tables(args, specs: list[str], sources: list, strict: bool = False):
         del table
 
 
-def _parse_splits(spec: str | None) -> list[str] | None:
-    """The --splits filter, names from SPLITS; None keeps every dataset."""
+def _parse_splits(spec: str | None) -> list[str]:
+    """The --splits filter, names from SPLITS; no filter keeps every split."""
     if spec is None:
-        return None
+        return list(SPLITS)
     splits = [s.strip() for s in spec.split(",") if s.strip()]
     if not splits:
         raise ValueError(f"--splits names no split, got {spec!r}")
@@ -106,14 +102,15 @@ def _parse_normalize(spec: str) -> bool:
     return len(chain) == 2
 
 
-def _counts(args, path: str, split: str = "other"):
+def _counts(args, path: str):
     """The type counts of one corpus, counted as its tokens are read, in the
-    space lookups happen in unless --raw."""
+    space lookups happen in unless --raw. The caller knows the corpus's
+    split."""
     if args.data_kind == "conll":
         tokens = conll_tokens(path, token_column=args.token_column, label_column=args.label_column)
     else:
         tokens = text_tokens(path, delimiter=args.delimiter, label_field=args.label_field)
-    return vocab_counts(tokens, "lowercase" if args.fold_case and not args.raw else "exact", split)
+    return vocab_counts(tokens, "lowercase" if args.fold_case and not args.raw else "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +192,10 @@ def _cmd_convert_tags(args):
 
 
 def _cmd_coverage(args):
-    counts = _counts(args, args.data, args.split)
+    counts = _counts(args, args.data)
     sources = []
     [table] = _load_tables(args, [args.emb], sources)
-    report = asdict(coverage(counts, table, args.fold_case))
+    report = {"split": args.split, **asdict(coverage(counts, table, args.fold_case))}
     report["embedding"] = table.name
     report["normalization"] = counts.normalization
     report["manifest"] = build_manifest(args, {"emb": sources[0][1], "data": args.data})
@@ -206,7 +203,7 @@ def _cmd_coverage(args):
 
 
 def _cmd_similarity(args):
-    counts = _counts(args, args.data, args.split)
+    counts = _counts(args, args.data)
     sources = []
     table_a, table_b = _load_tables(args, [args.emb_a, args.emb_b], sources)
     queries = top_n_types(counts, args.top_n)
@@ -227,7 +224,7 @@ def _cmd_similarity(args):
 
 
 def _cmd_pair_report(args):
-    train, dev = _counts(args, args.train, "train"), _counts(args, args.dev, "dev")
+    train, dev = _counts(args, args.train), _counts(args, args.dev)
     sources = []
     tables = _load_tables(args, [args.emb_a, args.emb_b], sources)
     row = pair_report(tables, train, dev, args.k, args.top_n, args.fold_case, threads=args.threads)
@@ -240,8 +237,9 @@ def _cmd_combine(args):
     policy = CombinePolicy.parse(args.policy_kind, args.applies_to)
     backfill = RandomBackfill(args.seed, args.backfill_low, args.backfill_high)
     specs = [_parse_data_arg(spec) for spec in args.data]
-    counts = (_counts(args, path, split) for split, path in specs)
-    vocab = model_vocab(counts, splits, args.min_count)
+    # every corpus is read and checked, in order; only the selected ones count
+    counts = ((split, _counts(args, path)) for split, path in specs)
+    vocab = model_vocab((c for split, c in counts if split in splits), args.min_count)
     paths = {f"data:{path}": path for _, path in specs}
     if args.add_special_tokens:
         vocab = with_special_tokens(vocab)
@@ -292,7 +290,7 @@ def _cmd_recommend(args):
             raise ValueError(f"{option} must be finite, got {tau}")
     if len(args.emb) < 2:
         raise DataError("recommend needs at least two --emb tables")
-    train, dev = _counts(args, args.train, "train"), _counts(args, args.dev, "dev")
+    train, dev = _counts(args, args.train), _counts(args, args.dev)
     sources = []
     verdicts = recommend(
         _load_tables(args, args.emb, sources),
@@ -591,6 +589,8 @@ def main(argv=None) -> int:
             value = getattr(args, option, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{option.replace('_', '-')} must be >= 1, got {value}")
+        if getattr(args, "delimiter", None) == "":
+            raise ValueError("--delimiter must not be empty")
         report = args.func(args)
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -79,27 +79,21 @@ class ModelVocab:
         return len(self.types)
 
 
-def model_vocab(
-    counts: Iterable[VocabCounts],
-    splits: list[str] | None = None,
-    min_count: int = 1,
-) -> ModelVocab:
-    """The types whose summed count over the selected corpus counts reaches
-    `min_count`, ordered count descending then token ascending.
+def model_vocab(counts: Iterable[VocabCounts], min_count: int = 1) -> ModelVocab:
+    """The types whose summed count over `counts` reaches `min_count`,
+    ordered count descending then token ascending.
 
-    `splits=None` keeps every count; otherwise only counts whose split is
-    listed contribute, and they must share one normalization. `counts` may
-    be any iterable, such as a generator that reads each corpus only when
-    asked: `min_count` is checked before the first is drawn.
+    The counts must share one normalization. `counts` may be any iterable,
+    such as a generator that reads each corpus only when asked: `min_count`
+    is checked before the first is drawn.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     merged: Counter[str] = Counter()
     norms = set()
     for vc in counts:
-        if splits is None or vc.split in splits:
-            norms.add(vc.normalization)
-            merged.update(vc.counts)
+        norms.add(vc.normalization)
+        merged.update(vc.counts)
     if len(norms) > 1:
         raise ValueError(f"cannot merge counts with mixed normalizations {sorted(norms)}")
     # every count holds a type, so no type means no corpus was selected

@@ -5,7 +5,8 @@ file's tokens, checking each line as it goes: `conll_tokens` reads CoNLL
 column files (one token per line, blank line between sentences) and
 `text_tokens` reads labeled text (one example per line). `vocab_counts`
 counts any token stream, so a corpus is counted as it is read and no
-dataset of it is built. `conll_blocks` is the one reader of CoNLL files,
+dataset of it is built. Counts carry no split: the caller that chose a
+corpus knows its role. `conll_blocks` is the one reader of CoNLL files,
 behind `conll_tokens` and the sentences that `convert-tags` rewrites and
 `score` aligns.
 """
@@ -17,14 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError, utf8_input
 
-SPLITS = ("train", "dev", "test", "other")
-
 NORMALIZATIONS = ("exact", "lowercase")
-
-
-def _check_split(split: str):
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
 
 
 @dataclass
@@ -34,10 +28,8 @@ class VocabCounts:
     counts: dict[str, int]
     total_tokens: int = field(init=False)
     normalization: str = "exact"
-    split: str = "other"
 
     def __post_init__(self):
-        _check_split(self.split)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
@@ -128,16 +120,15 @@ def text_tokens(path, *, delimiter: str = "\t", label_field: int = 0):
         raise DataError(f"{path}: no examples")
 
 
-def vocab_counts(tokens, normalization: str = "exact", split: str = "other") -> VocabCounts:
+def vocab_counts(tokens, normalization: str = "exact") -> VocabCounts:
     """Count the surface types of a token stream, such as a token reader's,
-    under `normalization`, as the counts of `split`."""
+    under `normalization`."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-    _check_split(split)
     counter = Counter(map(str.lower, tokens) if normalization == "lowercase" else tokens)
     if not counter:
         raise DataError("no tokens to count")
-    return VocabCounts(dict(counter), normalization=normalization, split=split)
+    return VocabCounts(dict(counter), normalization=normalization)
 
 
 def top_n_types(counts: VocabCounts, n: int) -> list[str]:

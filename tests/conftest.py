@@ -255,7 +255,7 @@ def ablated_reference(
     return EmbeddingTable(second.name, second.words, mat)
 
 
-def merge_counts(parts: list[VocabCounts], split: str = "other") -> VocabCounts:
+def merge_counts(parts: list[VocabCounts]) -> VocabCounts:
     """Sum counts across datasets that share a normalization."""
     if not parts:
         raise ValueError("nothing to merge")
@@ -265,7 +265,7 @@ def merge_counts(parts: list[VocabCounts], split: str = "other") -> VocabCounts:
     total: Counter[str] = Counter()
     for p in parts:
         total.update(p.counts)
-    return VocabCounts(dict(total), normalization=parts[0].normalization, split=split)
+    return VocabCounts(dict(total), normalization=parts[0].normalization)
 
 
 def write_conll(sentences: list[tuple[list[str], list[str]]], path) -> None:

@@ -300,8 +300,8 @@ def test_criterion_7_reproduces_published_overlap_and_coverage():
     senna = read_embeddings(REPRODUCTION_FILES["senna"], name="senna")
     glove840b = read_embeddings(REPRODUCTION_FILES["glove_840b"], name="glove-840b-300d")
     gnews = read_embeddings(REPRODUCTION_FILES["google_news"], name="google-news")
-    train = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_train"]), "lowercase", "train")
-    dev = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_dev"]), "lowercase", "dev")
+    train = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_train"]), "lowercase")
+    dev = vocab_counts(conll_tokens(REPRODUCTION_FILES["conll_dev"]), "lowercase")
 
     tol = 2.0
     expected = {

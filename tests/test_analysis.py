@@ -20,6 +20,7 @@ from embcat.analysis import (
 )
 from embcat.combine import recommend
 from embcat.corpus import VocabCounts, top_n_types, vocab_counts
+from embcat.embio import EmbeddingTable
 from embcat.errors import DataError
 
 
@@ -130,6 +131,33 @@ def test_batch_topk_across_chunks_matches_oracle(monkeypatch, threads):
             got = analysis._batch_topk(t, rows, k, row_mask=row_mask, threads=threads)
             for r, neighbors in zip(rows, got):
                 assert_matches_oracle(neighbors, oracle_knn(t, words[r], k, row_mask))
+
+
+def test_batch_topk_scans_for_zero_rows_once_per_search():
+    # the mask leaves each of three nonzero queries fewer than k finite
+    # candidates, and a zero query ranks every candidate at -inf: both
+    # fills come from one pass over the table, not one per query
+    rng = np.random.default_rng(5)
+    words = tuple(f"w{i:02d}" for i in rng.permutation(20))
+    vecs = rng.standard_normal((20, 3)).astype(np.float32)
+    vecs[[4, 9, 15]] = 0.0
+    scans = []
+
+    class CountedAny(np.ndarray):
+        def any(self, *args, **kwargs):
+            if self is matrix:
+                scans.append(kwargs.get("axis"))
+            return super().any(*args, **kwargs)
+
+    matrix = vecs.view(CountedAny)
+    t = EmbeddingTable._adopt("t", words, matrix, {w: i for i, w in enumerate(words)})
+    mask = np.zeros(20, dtype=bool)
+    mask[[0, 1, 2, 4, 9, 15, 16]] = True
+    rows = [0, 1, 2, 9]
+    got = analysis._batch_topk(t, rows, 5, row_mask=mask, threads=1)
+    assert scans == [1]
+    for r, neighbors in zip(rows, got):
+        assert_matches_oracle(neighbors, oracle_knn(t, words[r], 5, mask))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -462,8 +490,8 @@ def test_similarity_shared_vocab_only():
 # coverage
 
 
-def _counts(d, split="other", norm="exact"):
-    return VocabCounts(d, normalization=norm, split=split)
+def _counts(d, norm="exact"):
+    return VocabCounts(d, normalization=norm)
 
 
 def test_coverage_basic():
@@ -503,7 +531,7 @@ def test_coverage_monotone_under_added_rows():
 
 def test_pair_report_identity():
     t = make_table("T", ["a", "b", "c", "d"], np.eye(4))
-    counts = vocab_counts("abcd", split="train")
+    counts = vocab_counts("abcd")
     row = pair_report([t, t], counts, counts, k=2, n=4)
     assert (row.overlap_train, row.overlap_dev) == (100.0, 100.0)
     assert (row.attested_train, row.attested_dev) == (100.0, 100.0)
@@ -513,8 +541,8 @@ def test_pair_report_identity():
 def test_pair_report_uses_top_n():
     a = make_table("A", ["hi", "lo", "x", "y"], np.eye(4))
     b = make_table("B", ["hi", "x", "y", "z"], np.eye(4))
-    train = _counts({"hi": 10, "lo": 1}, split="train")
-    dev = _counts({"hi": 5}, split="dev")
+    train = _counts({"hi": 10, "lo": 1})
+    dev = _counts({"hi": 5})
     # n=1 keeps only "hi"; "lo" never queried, so no skip for it
     row = pair_report([a, b], train, dev, k=2, n=1)
     assert row.attested_train == 50.0  # B attests hi but not lo
@@ -552,8 +580,8 @@ def test_pair_report_matches_per_split_similarity(monkeypatch):
     monkeypatch.setattr(analysis, "CHUNK_ROWS", 9)
     a, b = _cased_pair()
     train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50, "w01": 40,
-                     "w02": 30, "w30": 20, "w31": 10}, split="train")
-    dev = _counts({"dog": 9, "Dog": 8, "w31": 7, "w02": 6, "w10": 5, "w11": 4}, split="dev")
+                     "w02": 30, "w30": 20, "w31": 10})
+    dev = _counts({"dog": 9, "Dog": 8, "w31": 7, "w02": 6, "w10": 5, "w11": 4})
     for threads in (1, 2):
         for k, n in ((3, 9), (8, 4)):
             row = pair_report([a, b], train, dev, k=k, n=n, threads=threads)
@@ -567,8 +595,8 @@ def test_pair_report_matches_per_split_similarity(monkeypatch):
 
 def test_pair_report_error_order():
     a, b = _cased_pair()
-    shared = _counts({"w00": 1}, split="train")
-    none_shared = _counts({"zz": 1}, split="dev")
+    shared = _counts({"w00": 1})
+    none_shared = _counts({"zz": 1})
     with pytest.raises(DataError, match="no shared queries"):
         pair_report([a, b], shared, none_shared, k=3, n=5)
     with pytest.raises(DataError, match="out of range for table 'A'"):
@@ -600,11 +628,11 @@ def _count_searches(monkeypatch):
 def test_pair_report_searches_each_table_once(monkeypatch):
     calls = _count_searches(monkeypatch)
     a, b = _cased_pair()
-    train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50}, split="train")
+    train = _counts({"The": 90, "the": 80, "Dog": 70, "zz": 60, "w00": 50})
     # w36 is in A only and zz in B only: no pair can score them, but each
     # table is searched from its own vocabulary alone, so A searches w36
     # and B searches zz
-    dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6}, split="dev")
+    dev = _counts({"dog": 9, "w36": 8, "w00": 7, "w10": 6})
     pair_report([a, b], train, dev, k=3, n=5)
     assert [name for name, _ in calls] == ["A", "B"]
     assert calls[0][1] == [a.index[w] for w in ("the", "dog", "w00", "w36", "w10")]
@@ -615,7 +643,7 @@ def test_recommend_searches_each_table_once(monkeypatch):
     calls = _count_searches(monkeypatch)
     rng = np.random.default_rng(5)
     tables = [random_table(rng, name=name, n=30, dim=4 + i) for i, name in enumerate("ABCD")]
-    counts = _counts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
+    counts = _counts({f"w{i:04d}": 100 - i for i in range(12)})
     verdicts = recommend(tables, counts, counts, k=4, n=10)
     assert len(verdicts) == 6
     assert sorted(name for name, _ in calls) == ["A", "B", "C", "D"]
@@ -642,7 +670,7 @@ def test_k_is_checked_before_any_search(monkeypatch):
     a = make_table("a", ["x", "y", "z"], np.eye(3))
     c = make_table("c", ["x", "p"], np.eye(2))
     d = make_table("d", ["x", "q"], np.eye(2))
-    counts = _counts({"x": 2, "p": 1}, split="train")
+    counts = _counts({"x": 2, "p": 1})
     # k is checked per table before its search: a is searched, c raises
     # before its search, and d is never reached
     with pytest.raises(DataError, match="out of range for table 'c'"):
@@ -653,8 +681,8 @@ def test_k_is_checked_before_any_search(monkeypatch):
 def test_no_shared_queries_is_decided_after_one_search_per_table(monkeypatch):
     calls = _count_searches(monkeypatch)
     a, b = _cased_pair()
-    train = _counts({"w00": 1}, split="train")
-    dev = _counts({"zz": 1}, split="dev")
+    train = _counts({"w00": 1})
+    dev = _counts({"zz": 1})
     with pytest.raises(DataError, match="no shared queries"):
         pair_report([a, b], train, dev, k=3, n=5)
     assert calls == [("A", [a.index["w00"]]), ("B", [b.index["w00"], b.index["zz"]])]

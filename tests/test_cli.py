@@ -562,6 +562,29 @@ def test_combine_splits_strip_whitespace(capsys, tmp_path, conll_file):
         assert rep["vocab"] == vocab, splits
 
 
+def test_combine_reads_every_corpus_but_counts_only_the_selected_splits(
+    capsys, tmp_path, conll_file
+):
+    emb = tmp_path / "e.glove"
+    emb.write_text("eu 1 1\n")
+    out = tmp_path / "c.glove"
+    dev = tmp_path / "dev.conll"
+    args = ["combine", "--emb", str(emb), "--out", str(out), "--stable"]
+    data = ["--data", f"train={conll_file}", "--data", f"dev={dev}", "--splits", "train"]
+    # a corpus that --splits leaves out is still read and checked
+    dev.write_bytes(b"Paris NNP B-LOC\n\xffLondon NNP B-LOC\n")
+    code, _, err = run(capsys, *args, *data)
+    assert code == 1 and f"{dev}:2: not valid UTF-8" in err
+    # but no type of it enters the vocabulary
+    dev.write_text("Paris NNP B-LOC\nEU NNP B-ORG\n")
+    run_json(capsys, *args, *data)
+    vocab = sorted(line.split(" ", 1)[0] for line in out.read_text().splitlines())
+    assert vocab == ["blackburn", "eu", "german", "peter", "rejects"]
+    # a filter that selects none of the corpora
+    code, _, err = run(capsys, *args, "--data", f"train={conll_file}", "--splits", "dev")
+    assert code == 1 and "no datasets selected" in err
+
+
 @pytest.mark.parametrize(
     "splits, named", [("train,trian", "'trian'"), ("train, Dev", "'Dev'"), (" , ", "no split")]
 )
@@ -611,6 +634,17 @@ def test_top_n_and_k_below_1_are_usage_errors_before_reading(capsys, tmp_path, s
     }[subcommand]
     code, out, err = run(capsys, subcommand, *inputs, option, "0")
     assert code == 2 and out == "" and f"{option} must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("subcommand", ["coverage", "combine"])
+def test_empty_delimiter_is_a_usage_error_before_reading(capsys, tmp_path, subcommand):
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "coverage": ["--emb", missing, "--data", missing],
+        "combine": ["--emb", missing, "--data", f"train={missing}", "--out", missing],
+    }[subcommand]
+    code, out, err = run(capsys, subcommand, *inputs, "--data-kind", "text", "--delimiter", "")
+    assert code == 2 and out == "" and "--delimiter must not be empty" in err
 
 
 def test_unknown_emb_format_lists_the_known_ones(capsys):

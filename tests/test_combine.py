@@ -43,8 +43,8 @@ from embcat.errors import DataError
 BF = RandomBackfill(20240817)
 
 
-def counts(tokens, split="train", normalization="exact"):
-    return vocab_counts(tokens, normalization, split)
+def counts(tokens, normalization="exact"):
+    return vocab_counts(tokens, normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +79,8 @@ def test_policy_parse():
 def test_model_vocab_examples():
     assert model_vocab([counts(["a", "b", "a"])]).types == ("a", "b")
     assert model_vocab([counts(["a", "b", "a"])], min_count=2).types == ("a",)
-
-
-def test_model_vocab_splits_selector():
-    train = counts(["x"], "train")
-    test = counts(["y"], "test")
-    assert model_vocab([train, test]).types == ("x", "y")
-    v = model_vocab([train, test], splits=["train"])
-    assert v.types == ("x",)
-    with pytest.raises(DataError):
-        model_vocab([train], splits=["dev"])
+    with pytest.raises(DataError, match="no datasets selected"):
+        model_vocab([])
 
 
 def test_model_vocab_mixed_dataset_kinds(tmp_path):
@@ -96,8 +88,8 @@ def test_model_vocab_mixed_dataset_kinds(tmp_path):
     conll.write_text("film O\nthe O\n")
     text = tmp_path / "dev.tsv"
     text.write_text("1\tthe end\n")
-    v = model_vocab([vocab_counts(conll_tokens(conll), split="train"),
-                     vocab_counts(text_tokens(text), split="dev")])
+    v = model_vocab([vocab_counts(conll_tokens(conll)),
+                     vocab_counts(text_tokens(text))])
     assert v.types == ("the", "end", "film")  # highest count first
 
 
@@ -105,10 +97,9 @@ def test_model_vocab_normalization():
     v = model_vocab([counts(["The", "the"], normalization="lowercase")])
     assert v.types == ("the",)
     # one vocabulary is counted in one space
-    mixed = [counts(["a"]), counts(["a"], "dev", "lowercase")]
+    mixed = [counts(["a"]), counts(["a"], "lowercase")]
     with pytest.raises(ValueError, match="mixed normalizations"):
         model_vocab(mixed)
-    assert model_vocab(mixed, splits=["dev"]).types == ("a",)
 
 
 def test_model_vocab_ordering():
@@ -468,7 +459,7 @@ def near_copies(name, words, base, noise, rng):
 
 def test_recommend_needs_two_tables():
     t = make_table("t", ["a", "b"], np.eye(2))
-    counts = VocabCounts({"a": 1}, split="train")
+    counts = VocabCounts({"a": 1})
     with pytest.raises(DataError):
         recommend([t], counts, counts)
 
@@ -486,7 +477,7 @@ def test_recommend_verdicts():
     sparse = make_table(
         "sparse", words[:15], rng.standard_normal((15, 8)).astype(np.float32)
     )
-    counts = VocabCounts({w: 30 - i for i, w in enumerate(words)}, split="train")
+    counts = VocabCounts({w: 30 - i for i, w in enumerate(words)})
     verdicts = recommend([a, twin, indep, sparse], counts, counts, k=5, n=20)
     by_pair = {(v.embedding_a, v.embedding_b): v for v in verdicts}
     assert by_pair[("a", "twin")].recommended is False
@@ -505,7 +496,7 @@ def test_recommend_verdicts():
 def test_recommend_name_collision():
     t1 = make_table("x", ["a", "b"], np.eye(2))
     t2 = make_table("x", ["a", "b"], np.eye(2))
-    counts = VocabCounts({"a": 1, "b": 1}, split="train")
+    counts = VocabCounts({"a": 1, "b": 1})
     with pytest.raises(DataError):
         recommend([t1, t2], counts, counts, k=1, n=2)
 
@@ -522,10 +513,8 @@ def test_recommend_matches_per_pair_similarity(monkeypatch, threads):
         make_table("low2", words[5:] + ["the"], rng.standard_normal((26, 3))),
         make_table("cased", ["The", "the"] + words[:20], rng.standard_normal((22, 8))),
     ]
-    counts = VocabCounts(
-        {"The": 99, "the": 98, **{w: 30 - i for i, w in enumerate(words)}}, split="train"
-    )
-    dev = VocabCounts({"w00": 3, "w29": 2}, split="dev")
+    counts = VocabCounts({"The": 99, "the": 98, **{w: 30 - i for i, w in enumerate(words)}})
+    dev = VocabCounts({"w00": 3, "w29": 2})
     queries = top_n_types(counts, 12)
     verdicts = recommend(
         tables, counts, dev, tau_sim=12.0, tau_cov=50.0, k=4, n=12, threads=threads
@@ -556,14 +545,14 @@ def test_recommend_errors_follow_pair_order():
     a = make_table("a", ["x", "y", "z"], np.eye(3))
     c = make_table("c", ["x", "p"], np.eye(2))
     d = make_table("d", ["x", "q"], np.eye(2))
-    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    counts = VocabCounts({"x": 2, "p": 1})
     with pytest.raises(DataError, match="out of range for table 'c'"):
         recommend([a, c, d], counts, counts, k=2, n=2)
     with pytest.raises(DataError, match="out of range for table 'd'"):
         recommend([a, d, c], counts, counts, k=2, n=2)
 
 
-COUNTS = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)}, split="train")
+COUNTS = VocabCounts({f"w{i:04d}": 100 - i for i in range(12)})
 
 
 def _combined(kind):
@@ -649,7 +638,7 @@ def test_an_ablation_keeps_no_more_of_a_dropped_table_than_concat():
 
 def test_recommend_checks_the_table_count_and_names_after_reading():
     a = make_table("a", ["x", "y", "z"], np.eye(3))
-    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    counts = VocabCounts({"x": 2, "p": 1})
     read = []
 
     def tables(*ts):
@@ -670,7 +659,7 @@ def test_recommend_leaves_a_pair_without_shared_queries_unscored():
     a = make_table("a", ["x", "y", "z"], np.eye(3))
     b = make_table("b", ["p", "q", "r"], np.eye(3))
     c = make_table("c", ["x", "p", "s"], np.eye(3))
-    counts = VocabCounts({"x": 2, "p": 1}, split="train")
+    counts = VocabCounts({"x": 2, "p": 1})
     verdicts = recommend([a, b, c], counts, counts, tau_cov=0.0, k=1, n=2)
     assert [(v.embedding_a, v.embedding_b) for v in verdicts] == [("a", "c"), ("b", "c"), ("a", "b")]
     assert [v.overlap is None for v in verdicts] == [False, False, True]

@@ -117,7 +117,6 @@ def test_read_labeled_text_tab(tmp_path):
     p.write_text("pos\tgreat fun movie\nneg\tit was dull\n\n")
     # the empty line is skipped
     assert list(text_tokens(p)) == ["great", "fun", "movie", "it", "was", "dull"]
-    assert vocab_counts(text_tokens(p), split="train").split == "train"
 
 
 def test_read_labeled_text_space_delimited(tmp_path):
@@ -161,8 +160,6 @@ def test_vocab_counts_exact_and_lowercase():
     assert low.total_tokens == 3
     with pytest.raises(ValueError):
         vocab_counts(tokens, "stem")
-    with pytest.raises(ValueError):
-        vocab_counts(tokens, split="nope")
     with pytest.raises(DataError, match="no tokens"):
         vocab_counts([])
 
@@ -191,8 +188,8 @@ def test_top_n_prefix_property(counts, n):
 
 
 def test_merge_counts():
-    a = VocabCounts({"x": 2, "y": 1}, split="train")
-    b = VocabCounts({"y": 4, "z": 1}, split="dev")
+    a = VocabCounts({"x": 2, "y": 1})
+    b = VocabCounts({"y": 4, "z": 1})
     m = merge_counts([a, b])
     assert m.counts == {"x": 2, "y": 5, "z": 1}
     assert m.total_tokens == 8

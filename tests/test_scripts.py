@@ -3,11 +3,12 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_table
 from embcat import analysis
-from embcat.embio import Format, write_embeddings
+from embcat.embio import Format, read_embeddings, write_embeddings
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -72,6 +73,46 @@ def test_reproduce_overlap_table_holds_one_table_at_a_time(tmp_path, capsys, mon
     assert all(ref() is None for ref in refs)
     assert searched == list(script.TABLES)
     assert "senna + google-news: rejected" in capsys.readouterr().out
+
+
+def test_export_combined_tables_writes_every_policy_per_corpus(tmp_path, capsys):
+    first, second = tmp_path / "first.glove", tmp_path / "second.glove"
+    for path, words in ((first, ["the", "film", "eu"]), (second, ["the", "dull"])):
+        table = make_table(path.stem, words, np.eye(len(words)))
+        write_embeddings(table, path, Format.GLOVE_TEXT)
+    (tmp_path / "conll2003").mkdir()
+    (tmp_path / "conll2003" / "train.txt").write_text("EU NNP B-ORG\nrejects VBZ O\n")
+    (tmp_path / "conll2003" / "valid.txt").write_text("-DOCSTART- O\n\nGerman JJ B-MISC\n")
+    (tmp_path / "sst2").mkdir()
+    (tmp_path / "sst2" / "stsa.binary.phrases.train").write_text("1 The film\n0 dull\n")
+    (tmp_path / "sst2" / "stsa.binary.dev").write_text("0 a dull film\n")
+    out = tmp_path / "exports"
+    script = _load("export_combined_tables")
+    argv = ["--data", str(tmp_path), "--out", str(out), "--first", str(first)]
+    assert script.main([*argv, "--second", str(second)]) == 0
+    capsys.readouterr()
+    types = {
+        "conll": {"eu", "rejects", "german"},
+        "sst2": {"the", "film", "dull", "a"},
+    }
+    kinds = ("Concat", "RandomSecond", "ComplementSecond", "MatchedSecond")
+    assert len(list(out.glob("*.glove"))) == len(list(out.glob("*.manifest.json"))) == 8
+    for corpus, corpus_types in types.items():
+        for policy, kind in zip(script.POLICIES, kinds):
+            table = out / f"{corpus}.{policy}.glove"
+            sidecar = json.loads((out / f"{corpus}.{policy}.glove.manifest.json").read_text())
+            assert sidecar["policy"]["kind"] == kind
+            words = read_embeddings(table, Format.GLOVE_TEXT).words
+            assert sorted(words) == sorted(corpus_types | {"<PAD>", "<UNK>"})
+
+
+def test_check_text_floats_on_the_smallest_subnormals(capsys):
+    script = _load("check_text_floats")
+    assert script.main(["-149", "-137"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["mismatches"] == 0
+    # binade e < -126 holds 2**(e + 149) values of each sign
+    assert summary["values"] == 2 * (2**12 - 1)
 
 
 def _load(name):
