@@ -8,7 +8,6 @@ from .analysis import (
     PairReport,
     SimilarityReport,
     coverage,
-    embedding_similarity,
     jaccard,
     knn,
     pair_report,
@@ -67,7 +66,6 @@ __all__ = [
     "conll_tokens",
     "coverage",
     "detect_format",
-    "embedding_similarity",
     "entity_prf",
     "extract_entities",
     "iob1_to_bio",

@@ -12,12 +12,11 @@ k-th value that a subsample of its columns gives; the survivors are then
 rescored with correctly rounded float64 sums, so each similarity is a
 function of the two vectors alone, and ties are broken token-ascending. Results are identical
 for any thread count, chunk size or batch of other queries. Every overlap
-question (`embedding_similarity`, `pair_report` and `recommend`) takes two
-steps: `neighbor_sets` searches one table alone, once, over the distinct
-rows of the queries that resolve in it, and `pairwise_similarity` scores
-every pair from those sides alone. `pair_report` and `recommend` hold one
-table at a time (`table_sides`); `embedding_similarity` holds both, as a
-`shared_vocab_only` search needs the other table's vocabulary.
+question (the `similarity` command, `pair_report` and `recommend`) takes
+two steps: `neighbor_sets` searches one table alone, once, over the
+distinct rows of the queries that resolve in it, and `pairwise_similarity`
+scores every pair from those sides alone, so each holds one table at a
+time (`table_sides`, or the `similarity` command's own loop).
 """
 
 from __future__ import annotations
@@ -335,7 +334,7 @@ def neighbor_sets(
     `mask`, when given, limits the candidate rows, which must leave every
     searched query k of them; k is checked before the search.
     """
-    hits = resolve_rows(table, queries, fold_case).tolist()
+    hits = resolve_rows(table.index, queries, fold_case).tolist()
     rows = {q: r for q, r in zip(queries, hits) if r >= 0}
     search = list(dict.fromkeys(rows.values()))
     # a searched row inside the mask is not its own candidate
@@ -397,32 +396,6 @@ def pairwise_similarity(
     return reports
 
 
-def embedding_similarity(
-    table_a: EmbeddingTable,
-    table_b: EmbeddingTable,
-    queries: list[str],
-    k: int = 10,
-    fold_case: bool = True,
-    *,
-    shared_vocab_only: bool = False,
-    threads: int | None = None,
-) -> SimilarityReport:
-    """Mean Jaccard overlap (as a percentage) of the two tables' k-nearest-
-    neighbor sets over the given query tokens.
-
-    Each query must resolve in both tables; unresolvable or duplicate
-    queries are skipped with a reason, never scored as zero. Each table is
-    searched over its own full vocabulary unless shared_vocab_only
-    restricts candidates to tokens resolvable in the other table. Neighbor
-    tokens are lowercased, when fold_case, before the sets are compared.
-    """
-    sides = []
-    for t, other in ((table_a, table_b), (table_b, table_a)):
-        mask = resolve_rows(other, t.words, fold_case) >= 0 if shared_vocab_only else None
-        sides.append(neighbor_sets(t, queries, k, fold_case, mask=mask, threads=threads))
-    return pairwise_similarity([table_a.name, table_b.name], sides, [queries], k)[0][0, 1]
-
-
 def coverage(
     counts: VocabCounts, table: EmbeddingTable, fold_case: bool = True
 ) -> CoverageReport:
@@ -430,7 +403,7 @@ def coverage(
     attests, looked up exactly and, when fold_case, lowercased."""
     if not counts.counts:
         raise DataError("empty vocabulary counts")
-    hit = resolve_rows(table, counts.counts, fold_case) >= 0
+    hit = resolve_rows(table.index, counts.counts, fold_case) >= 0
     covered_tokens = sum(itertools.compress(counts.counts.values(), hit))
     attested = int(hit.sum())
     return CoverageReport(

@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .analysis import coverage, embedding_similarity, pair_report
+from .analysis import coverage, neighbor_sets, pair_report, pairwise_similarity
 from .combine import (
     PAD_TOKEN,
     CombinePolicy,
@@ -33,6 +33,7 @@ from .embio import (
     RandomBackfill,
     detect_format,
     read_embeddings,
+    resolve_rows,
     write_embeddings,
     write_hashed,
 )
@@ -203,20 +204,27 @@ def _cmd_coverage(args):
 
 
 def _cmd_similarity(args):
-    counts = _counts(args, args.data)
-    sources = []
-    table_a, table_b = _load_tables(args, [args.emb_a, args.emb_b], sources)
-    queries = top_n_types(counts, args.top_n)
-    sim = embedding_similarity(
-        table_a,
-        table_b,
-        queries,
-        args.k,
-        args.fold_case,
-        shared_vocab_only=args.shared_vocab_only,
-        threads=args.threads,
-    )
-    report = {"embedding_a": table_a.name, "embedding_b": table_b.name, **asdict(sim)}
+    queries = top_n_types(_counts(args, args.data), args.top_n)
+    # under --shared-vocab-only a table's candidate rows are the tokens the
+    # other table attests: B is read first for its index alone, A's mask
+    # comes from it, and B's from A's index
+    other = None
+    if args.shared_vocab_only:
+        [table_b] = _load_tables(args, [args.emb_b], [])
+        other = table_b.index
+        del table_b
+    sources, names, sides = [], [], []
+    for table in _load_tables(args, [args.emb_a, args.emb_b], sources):
+        mask = None if other is None else resolve_rows(other, table.words, args.fold_case) >= 0
+        names.append(table.name)
+        sides.append(
+            neighbor_sets(table, queries, args.k, args.fold_case, mask=mask, threads=args.threads)
+        )
+        if other is not None:
+            other = table.index
+        del table  # free its matrix before the next table is read
+    sim = pairwise_similarity(names, sides, [queries], args.k)[0][0, 1]
+    report = {"embedding_a": names[0], "embedding_b": names[1], **asdict(sim)}
     report["skipped"] = [list(s) for s in sim.skipped]
     paths = {"emb_a": sources[0][1], "emb_b": sources[1][1], "data": args.data}
     report["manifest"] = build_manifest(args, paths)

@@ -147,7 +147,7 @@ def combine(
         # (output row, source row) of the kept slices, (output row, key) of
         # the drawn ones
         kept, rows, drawn, keys = [], [], [], []
-        hits = resolve_rows(table, vocab.types, fold_case).tolist()
+        hits = resolve_rows(table.index, vocab.types, fold_case).tolist()
         for r, (typ, row) in enumerate(zip(vocab.types, hits)):
             if row < 0:
                 drawn.append(r)

@@ -281,11 +281,11 @@ class EmbeddingTable:
         return self.vectors[self.index[token]]
 
 
-def resolve_rows(table: EmbeddingTable, tokens, fold_case: bool = True) -> np.ndarray:
-    """The row of each token under the lookup chain: the token as written,
-    then, when fold_case, `token.lower()` for matching cased text against
-    lowercased vocabularies. -1 where neither is found."""
-    index = table.index
+def resolve_rows(index: dict[str, int], tokens, fold_case: bool = True) -> np.ndarray:
+    """The row of each token in a table's token `index` under the lookup
+    chain: the token as written, then, when fold_case, `token.lower()` for
+    matching cased text against lowercased vocabularies. -1 where neither
+    is found."""
     if fold_case:
         rows = [index[t] if t in index else index.get(t.lower(), -1) for t in tokens]
     else:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from embcat.analysis import SimilarityReport, neighbor_sets, pairwise_similarity
 from embcat.corpus import VocabCounts
 from embcat.embio import (
     _MAX_TOKEN_BYTES,
@@ -16,6 +17,7 @@ from embcat.embio import (
     _preallocate,
     _two_ints,
     log,
+    resolve_rows,
 )
 from embcat.errors import DataError, utf8_input
 
@@ -266,6 +268,27 @@ def merge_counts(parts: list[VocabCounts]) -> VocabCounts:
     for p in parts:
         total.update(p.counts)
     return VocabCounts(dict(total), normalization=parts[0].normalization)
+
+
+def embedding_similarity(
+    table_a: EmbeddingTable,
+    table_b: EmbeddingTable,
+    queries: list[str],
+    k: int = 10,
+    fold_case: bool = True,
+    *,
+    shared_vocab_only: bool = False,
+    threads: int | None = None,
+) -> SimilarityReport:
+    """Mean Jaccard overlap (as a percentage) of two tables held together,
+    the `similarity` command's numbers: each table's `neighbor_sets`,
+    searched over the tokens the other table attests when
+    shared_vocab_only, scored by `pairwise_similarity`."""
+    sides = []
+    for t, other in ((table_a, table_b), (table_b, table_a)):
+        mask = resolve_rows(other.index, t.words, fold_case) >= 0 if shared_vocab_only else None
+        sides.append(neighbor_sets(t, queries, k, fold_case, mask=mask, threads=threads))
+    return pairwise_similarity([table_a.name, table_b.name], sides, [queries], k)[0][0, 1]
 
 
 def write_conll(sentences: list[tuple[list[str], list[str]]], path) -> None:

@@ -15,8 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ablated_reference, make_table, oracle_vector, tables_equal
-from embcat.analysis import embedding_similarity, knn, pair_report
+from conftest import (
+    ablated_reference,
+    embedding_similarity,
+    make_table,
+    oracle_vector,
+    tables_equal,
+)
+from embcat.analysis import knn, pair_report
 from embcat.cli import main
 from embcat.combine import CombinePolicy, ModelVocab, combine, recommend
 from embcat.corpus import conll_tokens, vocab_counts

@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_table, random_table
+from conftest import embedding_similarity, make_table, random_table
 from embcat import analysis
 from embcat.analysis import (
     NeighborSet,
     coverage,
-    embedding_similarity,
     jaccard,
     knn,
     pair_report,

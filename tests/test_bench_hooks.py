@@ -26,6 +26,10 @@ STALE = {
     # read 0 on every workload; `score` now reads its sentences through
     # `conll_blocks`, and the name is gone
     ("embcat.cli", "read_conll"),
+    # `similarity` searches each table through `neighbor_sets` and scores
+    # through `pairwise_similarity`, as `pair_report` and `recommend` do;
+    # the two-table function is gone
+    ("embcat.analysis", "embedding_similarity"),
 }
 
 

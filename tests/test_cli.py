@@ -5,13 +5,15 @@ import string
 import subprocess
 import sys
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import make_table, oracle_vector
+from conftest import embedding_similarity, make_table, oracle_vector
 from embcat import __version__, analysis, cli
 from embcat.cli import main
+from embcat.corpus import conll_tokens, top_n_types, vocab_counts
 from embcat.embio import Format, RandomBackfill, read_embeddings, write_embeddings
 from embcat.manifest import file_sha256
 
@@ -313,6 +315,12 @@ def test_convert_tags_rejects_noop(capsys, tmp_path):
         "--from", "bio", "--to", "bio",
     )
     assert code == 2
+    # a usage error, raised before the input is opened
+    code, out, err = run(
+        capsys, "convert-tags", "--data", str(tmp_path / "missing"), "--out", str(src) + ".o",
+        "--from", "bio", "--to", "bio",
+    )
+    assert code == 2 and out == "" and "is not a conversion" in err
 
 
 def test_coverage_cli(capsys, tmp_path, conll_file):
@@ -677,6 +685,46 @@ def test_similarity_shared_vocab_only_rejects_k_above_the_shared_rows(capsys, tm
     assert rep["per_query"] == {"The": 1.0}
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_similarity_cli_equals_two_held_tables(capsys, tmp_path, monkeypatch, threads):
+    # the command holds one table at a time and masks each search with the
+    # other table's token index; its numbers must be those of the two
+    # tables held together, over several search chunks and cased tokens:
+    # "The" and "the" are one row of the lowercase-only A and two of B
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 8)
+    rng = np.random.default_rng(30)
+    shared = [f"w{i:02d}" for i in range(20)]
+    words = {
+        "A": ["the", "paris", "cat", *shared, *(f"a{i}" for i in range(10))],
+        "B": ["The", "the", "Paris", "cat", *shared, *(f"b{i}" for i in range(10))],
+    }
+    tables = {n: make_table(n, w, rng.standard_normal((len(w), 5))) for n, w in words.items()}
+    for name, table in tables.items():
+        write_embeddings(table, tmp_path / f"{name}.glove", Format.GLOVE_TEXT)
+    data = tmp_path / "q.conll"
+    tokens = "The the the Paris paris cat cat w00 w01 w05 w07 w13 a0 b0 Nothing".split()
+    data.write_text("".join(f"{t} O\n" for t in tokens))
+    queries = top_n_types(vocab_counts(conll_tokens(str(data)), "exact"), 50)
+    argv = ["similarity", "--emb-a", str(tmp_path / "A.glove"), "--emb-b",
+            str(tmp_path / "B.glove"), "--data", str(data), "--top-n", "50", "--k", "3",
+            "--raw", "--threads", threads, "--stable"]
+    reports = []
+    for extra in ([], ["--shared-vocab-only"]):
+        rep = run_json(capsys, *argv, *extra)
+        del rep["manifest"]
+        sim = embedding_similarity(
+            tables["A"], tables["B"], queries, 3, shared_vocab_only=bool(extra),
+            threads=int(threads),
+        )
+        want = {"embedding_a": "A", "embedding_b": "B", **asdict(sim)}
+        assert rep == json.loads(json.dumps(want))
+        reports.append(rep)
+    # the masks change the neighbor sets
+    assert reports[0]["per_query"] != reports[1]["per_query"]
+    assert set(reports[1]["per_query"]) == {"The", "the", "Paris", "cat", "w00", "w01", "w05",
+                                            "w07", "w13"}
+
+
 def test_convert_refuses_a_token_with_a_space_before_writing(capsys, tmp_path):
     # a GloVe 840B-style token read leniently cannot be written back in
     # either format; the previous output stays as it was
@@ -792,27 +840,38 @@ def _table_args(tmp_path, subcommand, n_tables):
 
 def _corpus_args(tmp_path, subcommand, corpus, dev):
     """The subcommand's other arguments, with `corpus` the dataset it reads
-    first (--train, or combine's --data)."""
+    first (--train, or combine's and similarity's --data)."""
     if subcommand == "combine":
         return ["--data", corpus, "--out", str(tmp_path / "out.glove"), "--stable"]
+    if subcommand == "similarity":
+        return ["--data", corpus, "--k", "2", "--stable"]
     return ["--train", corpus, "--dev", dev, "--k", "2", "--stable"]
 
 
 # the table arguments are read in order by a generator; each table is
-# used (searched, or its columns filled) before the next is read
+# used (searched, or its columns filled) before the next is read: the
+# function that uses it, and the table's name from that call's arguments
+# (`combine` draws every table's backfill, if only of no token)
+SEARCHED = (analysis, "_batch_topk", lambda table, *_: table.name)
 USED = {
-    "recommend": (analysis, "_batch_topk"),
-    "pair-report": (analysis, "_batch_topk"),
-    "combine": (sys.modules["embcat.combine"], "resolve_rows"),
+    "recommend": SEARCHED,
+    "pair-report": SEARCHED,
+    "similarity": SEARCHED,
+    "combine": (sys.modules["embcat.combine"], "random_vectors", lambda _, name, *__: name),
 }
 POLICIES = ("concat", "random-second", "complement-second", "matched-second")
+# --shared-vocab-only reads --emb-b once more, before --emb-a, for the
+# token index that masks --emb-a's candidates
+SHARED = ["--shared-vocab-only"]
 
 
 @pytest.mark.parametrize(
     "subcommand, n_tables, extra",
-    [("recommend", 4, []), ("pair-report", 2, [])]
+    [("recommend", 4, []), ("pair-report", 2, []), ("similarity", 2, []),
+     ("similarity", 2, SHARED)]
     + [("combine", 4, ["--policy", policy]) for policy in POLICIES],
-    ids=["recommend", "pair-report", *(f"combine-{policy}" for policy in POLICIES)],
+    ids=["recommend", "pair-report", "similarity", "similarity-shared-vocab-only",
+         *(f"combine-{policy}" for policy in POLICIES)],
 )
 def test_cli_holds_one_table_at_a_time(
     capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables, extra
@@ -832,15 +891,19 @@ def test_cli_holds_one_table_at_a_time(
 
     monkeypatch.setattr(cli, "read_embeddings", tracked)
     assert run_json(capsys, *argv) == whole
-    assert live_at_read == [0] * n_tables
+    assert live_at_read == [0] * (n_tables + (extra == SHARED))
     assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("kind", ["conll", "text"])
 @pytest.mark.parametrize(
-    "subcommand", ["combine", "similarity", "pair-report", "recommend", "coverage"]
+    "subcommand, extra",
+    [("combine", []), ("similarity", []), ("similarity", SHARED), ("pair-report", []),
+     ("recommend", []), ("coverage", [])],
+    ids=["combine", "similarity", "similarity-shared-vocab-only", "pair-report", "recommend",
+         "coverage"],
 )
-def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcommand, kind):
+def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcommand, extra, kind):
     # every corpus is counted in full before the first table is read
     n_tables = 1 if subcommand == "coverage" else 2
     emb, _ = _table_args(tmp_path, subcommand, n_tables)
@@ -872,41 +935,56 @@ def test_corpora_are_kept_only_as_counts(capsys, tmp_path, monkeypatch, subcomma
         return read(*args, **kwargs)
 
     monkeypatch.setattr(cli, "read_embeddings", table_read)
-    code, _, err = run(capsys, subcommand, *emb, *data, "--data-kind", kind)
+    code, _, err = run(capsys, subcommand, *emb, *data, *extra, "--data-kind", kind)
     assert code == 0, err
     n_corpora = 1 if subcommand in ("similarity", "coverage") else 2
-    assert counted_at_read == [[5] * n_corpora] * n_tables
+    assert counted_at_read == [[5] * n_corpora] * (n_tables + (extra == SHARED))
 
 
 @pytest.mark.parametrize(
-    "subcommand, n_tables",
-    [("recommend", 3), ("pair-report", 2), ("combine", 3)],
-    ids=["recommend", "pair-report", "combine"],
+    "subcommand, n_tables, extra, read, used",
+    [
+        ("recommend", 3, [], "abc", "ab"),
+        ("pair-report", 2, [], "ab", "a"),
+        ("combine", 3, [], "abc", "ab"),
+        # A is searched, k check included, before B is read
+        ("similarity", 2, [], "ab", "a"),
+        # B's index masks A's candidates: B is read, and fails, before A
+        ("similarity", 2, SHARED, "b", ""),
+    ],
+    ids=["recommend", "pair-report", "combine", "similarity", "similarity-shared-vocab-only"],
 )
-def test_cli_error_order(capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables):
+def test_cli_error_order(
+    capsys, tmp_path, conll_file, monkeypatch, subcommand, n_tables, extra, read, used
+):
     emb, last = _table_args(tmp_path, subcommand, n_tables)
     last.write_bytes(last.read_bytes()[:-7])
-    module, name = USED[subcommand]
-    used = []
-    use = getattr(module, name)
+    module, name, table_name = USED[subcommand]
+    reads, uses = [], []
+    use, read_table = getattr(module, name), cli.read_embeddings
 
-    def spy(table, *args, **kwargs):
-        used.append(table.name)
-        return use(table, *args, **kwargs)
+    def spy(*args, **kwargs):
+        uses.append(table_name(*args))
+        return use(*args, **kwargs)
+
+    def read_spy(path, *args, **kwargs):
+        reads.append(os.path.basename(path)[0])
+        return read_table(path, *args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(cli, "read_embeddings", read_spy)
     # a truncated last table: read after the earlier ones were used, with
     # the same message
     corpus = _corpus_args(tmp_path, subcommand, conll_file, conll_file)
-    code, out, err = run(capsys, subcommand, *emb, *corpus)
+    code, out, err = run(capsys, subcommand, *emb, *corpus, *extra)
     assert (code, out, err) == (1, "", f"error: {last}: record for token 'x19' truncated\n")
-    assert used == ["a", "b", "c"][: n_tables - 1]
+    assert ("".join(reads), "".join(uses)) == (read, used)
     # the corpora are read before any table, so a malformed corpus is
     # reported before a malformed table
     bad = tmp_path / "bad.conll"
     bad.write_text("EU NNP B-ORG\nrejects\n")
     corpus = _corpus_args(tmp_path, subcommand, str(bad), conll_file)
-    code, out, err = run(capsys, subcommand, *emb, *corpus, "--label-column", "2")
+    code, out, err = run(capsys, subcommand, *emb, *corpus, *extra, "--label-column", "2")
     assert code == 1 and out == ""
     assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
 
@@ -916,9 +994,12 @@ def test_similarity_reads_the_corpus_before_the_tables(capsys, tmp_path):
     last.write_bytes(last.read_bytes()[:-7])
     bad = tmp_path / "bad.conll"
     bad.write_text("EU NNP B-ORG\nrejects\n")
-    code, out, err = run(capsys, "similarity", *emb, "--data", str(bad), "--label-column", "2")
-    assert (code, out) == (1, "")
-    assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
+    # with the flag too, the truncated --emb-b being the first table read
+    for extra in ([], SHARED):
+        argv = ["similarity", *emb, "--data", str(bad), "--label-column", "2", *extra]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}:2: label column 2 out of range for 1-field line 'rejects'\n"
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ablated_reference, make_table, oracle_vector, random_table, tables_equal
+from conftest import (
+    ablated_reference,
+    embedding_similarity,
+    make_table,
+    oracle_vector,
+    random_table,
+    tables_equal,
+)
 from embcat import analysis, embio
-from embcat.analysis import coverage, embedding_similarity, pair_report
+from embcat.analysis import coverage, pair_report
 from embcat.combine import (
     COMBINE_KINDS,
     PAD_TOKEN,

@@ -83,13 +83,13 @@ def test_table_is_frozen(toy_table):
 def test_lookup_chain_order():
     # both casings present: exact must win over lowercase
     t = make_table("t", ["The", "the"], [[1.0], [2.0]])
-    assert resolve_rows(t, ["The", "THE", "cat"]).tolist() == [0, 1, -1]
+    assert resolve_rows(t.index, ["The", "THE", "cat"]).tolist() == [0, 1, -1]
 
 
 def test_lookup_exact_only_policy():
     t = make_table("t", ["the"], [[1.0]])
-    assert resolve_rows(t, ["The", "the"], fold_case=False).tolist() == [-1, 0]
-    assert resolve_rows(t, ["The", "the"]).tolist() == [0, 0]
+    assert resolve_rows(t.index, ["The", "the"], fold_case=False).tolist() == [-1, 0]
+    assert resolve_rows(t.index, ["The", "the"]).tolist() == [0, 0]
 
 
 def _chain_row(table, token, fold_case):
@@ -113,10 +113,10 @@ _cased_st = st.sampled_from(["The", "the", "THE", "İ", "i̇", "i", "I", "ß", "
 )
 def test_resolve_rows_is_the_chain_per_token(words, tokens, fold_case):
     t = make_table("t", words, np.zeros((len(words), 1)))
-    rows = resolve_rows(t, tokens, fold_case)
+    rows = resolve_rows(t.index, tokens, fold_case)
     assert rows.dtype == np.intp and rows.shape == (len(tokens),)
     assert rows.tolist() == [_chain_row(t, token, fold_case) for token in tokens]
-    assert resolve_rows(t, [], fold_case).shape == (0,)
+    assert resolve_rows(t.index, [], fold_case).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
